@@ -85,16 +85,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         help="comma-separated benchmark names, or 'all'",
     )
     parser.add_argument(
-        "--differential",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "measure the differential executor (forecast + convergence-"
-            "terminated suffixes) alongside cold/warm; same flag as "
-            "repro campaign (--no-differential to skip those passes) [on]"
-        ),
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -159,17 +149,18 @@ def bench_benchmark(
     seed: int,
     interval: int,
     config: Optional[CoreConfig] = None,
-    differential: bool = True,
     profile: Optional[Dict[str, int]] = None,
 ) -> Dict[str, object]:
-    """Benchmark one workload: golden speed + cold vs warm injections.
+    """Benchmark one workload: golden speed + cold, warm and differential
+    injections.
 
-    With ``differential`` the forecast-and-converge executor is measured
-    as a third pass (and asserted bit-identical to cold). With a
-    ``profile`` accumulator, the fastest measured pass is replayed once
-    more under per-stage wall-time attribution; the replay is asserted
-    result-identical to the cold pass and is never part of the timed
-    columns.
+    The warm pass restores from a full-suffix reference provider; the
+    differential pass (the forecast-and-converge executor every campaign
+    runs) uses a differential provider. Both are asserted bit-identical to
+    cold. With a ``profile`` accumulator, the differential pass is
+    replayed once more under per-stage wall-time attribution; the replay
+    is asserted result-identical to the cold pass and is never part of the
+    timed columns.
     """
     entry = _time_golden(program, config)
 
@@ -197,28 +188,23 @@ def bench_benchmark(
             f"{name}: warm-started results differ from cold results"
         )
 
-    diff_provider = None
-    if differential:
-        started = time.perf_counter()
-        diff_provider = SnapshotProvider(
-            program, interval, config=config, differential=True
+    started = time.perf_counter()
+    diff_provider = SnapshotProvider(
+        program, interval, config=config, differential=True
+    )
+    diff_provider_wall = time.perf_counter() - started
+
+    started = time.perf_counter()
+    diff = [
+        execute_task(t, program, golden, config, snapshots=diff_provider)
+        for t in tasks
+    ]
+    diff_wall = time.perf_counter() - started
+
+    if cold != diff:
+        raise AssertionError(
+            f"{name}: differential results differ from cold results"
         )
-        diff_provider_wall = time.perf_counter() - started
-
-        started = time.perf_counter()
-        diff = [
-            execute_task(
-                t, program, golden, config,
-                snapshots=diff_provider, differential=True,
-            )
-            for t in tasks
-        ]
-        diff_wall = time.perf_counter() - started
-
-        if cold != diff:
-            raise AssertionError(
-                f"{name}: differential results differ from cold results"
-            )
 
     injections = len(tasks)
     entry["injections"] = injections
@@ -230,18 +216,13 @@ def bench_benchmark(
     entry["warm_cycles_skipped"] = sum(
         r.warm_start_cycles_skipped for r in warm
     )
-    if differential:
-        entry["diff_provider_wall_s"] = diff_provider_wall
-        entry["diff_wall_s"] = diff_wall
-        entry["diff_inj_per_s"] = (
-            injections / diff_wall if diff_wall > 0 else 0.0
-        )
-        entry["diff_speedup"] = (
-            cold_wall / diff_wall if diff_wall > 0 else 0.0
-        )
-        entry["diff_early_terminated"] = sum(
-            1 for r in diff if r.early_terminated_cycle is not None
-        )
+    entry["diff_provider_wall_s"] = diff_provider_wall
+    entry["diff_wall_s"] = diff_wall
+    entry["diff_inj_per_s"] = injections / diff_wall if diff_wall > 0 else 0.0
+    entry["diff_speedup"] = cold_wall / diff_wall if diff_wall > 0 else 0.0
+    entry["diff_early_terminated"] = sum(
+        1 for r in diff if r.early_terminated_cycle is not None
+    )
     if profile is not None:
         # Dedicated attribution replay of the fastest measured pass. The
         # profiled cores pay two perf_counter_ns calls per stage, so this
@@ -250,13 +231,7 @@ def bench_benchmark(
         accumulator = enable_stage_profiling()
         try:
             profiled = [
-                execute_task(
-                    t, program, golden, config,
-                    snapshots=(
-                        diff_provider if differential else provider
-                    ),
-                    differential=differential,
-                )
+                execute_task(t, program, golden, config, snapshots=diff_provider)
                 for t in tasks
             ]
         finally:
@@ -310,22 +285,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         program = WORKLOADS[name](scale=args.scale)
         per_benchmark[name] = bench_benchmark(
             name, program, args.runs, args.seed, args.snapshot_interval,
-            differential=args.differential, profile=profile,
+            profile=profile,
         )
         b = per_benchmark[name]
-        diff_cols = (
-            f"diff {b['diff_inj_per_s']:6.2f} inj/s | "
-            f"speedup {b['speedup']:.2f}x/{b['diff_speedup']:.2f}x "
-            f"({b['diff_early_terminated']}/{b['injections']} early, "
-            if args.differential
-            else f"speedup {b['speedup']:.2f}x ("
-        )
         print(
             f"{name:>14}: golden {b['golden_cycles_per_s']:>9.0f} cyc/s | "
             f"cold {b['cold_inj_per_s']:6.2f} inj/s | "
             f"warm {b['warm_inj_per_s']:6.2f} inj/s | "
-            + diff_cols
-            + f"provider {b['provider_wall_s']:.2f}s, "
+            f"diff {b['diff_inj_per_s']:6.2f} inj/s | "
+            f"speedup {b['speedup']:.2f}x/{b['diff_speedup']:.2f}x "
+            f"({b['diff_early_terminated']}/{b['injections']} early, "
+            f"provider {b['provider_wall_s']:.2f}s, "
             f"{b['provider_snapshots']} snaps)",
             file=sys.stderr,
         )
@@ -333,6 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     total_inj = sum(b["injections"] for b in per_benchmark.values())
     cold_wall = sum(b["cold_wall_s"] for b in per_benchmark.values())
     warm_wall = sum(b["warm_wall_s"] for b in per_benchmark.values())
+    diff_wall = sum(b["diff_wall_s"] for b in per_benchmark.values())
     aggregate = {
         "injections": total_inj,
         "cold_wall_s": cold_wall,
@@ -340,23 +311,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "warm_wall_s": warm_wall,
         "warm_inj_per_s": total_inj / warm_wall if warm_wall > 0 else 0.0,
         "speedup": cold_wall / warm_wall if warm_wall > 0 else 0.0,
+        "diff_wall_s": diff_wall,
+        "diff_inj_per_s": total_inj / diff_wall if diff_wall > 0 else 0.0,
+        "diff_speedup": cold_wall / diff_wall if diff_wall > 0 else 0.0,
     }
-    if args.differential:
-        diff_wall = sum(b["diff_wall_s"] for b in per_benchmark.values())
-        aggregate["diff_wall_s"] = diff_wall
-        aggregate["diff_inj_per_s"] = (
-            total_inj / diff_wall if diff_wall > 0 else 0.0
-        )
-        aggregate["diff_speedup"] = (
-            cold_wall / diff_wall if diff_wall > 0 else 0.0
-        )
     entry = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "seed": args.seed,
         "scale": args.scale,
         "runs_per_model": args.runs,
         "snapshot_interval": args.snapshot_interval,
-        "differential": args.differential,
         "environment": environment_provenance(),
         "benchmarks": per_benchmark,
         "aggregate": aggregate,
@@ -366,18 +330,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         entry["stage_profile"] = {
             "buckets_ns": profile,
             "profiled_cycles": cycles,
-            "pass": "differential" if args.differential else "warm",
+            "pass": "differential",
         }
     append_entry(args.output, entry)
     print(json.dumps(entry, indent=2, sort_keys=True))
-    tail = (
-        f"warm {aggregate['speedup']:.2f}x, "
-        f"differential {aggregate['diff_speedup']:.2f}x "
-        if args.differential
-        else f"warm {aggregate['speedup']:.2f}x "
-    )
     print(
-        f"aggregate speedup: {tail}"
+        f"aggregate speedup: warm {aggregate['speedup']:.2f}x, "
+        f"differential {aggregate['diff_speedup']:.2f}x "
         f"({total_inj} injections; appended to {args.output})",
         file=sys.stderr,
     )

@@ -126,7 +126,6 @@ def run_injection(
     config: Optional[CoreConfig] = None,
     snapshots: Optional["SnapshotProvider"] = None,
     deadline: Optional[float] = None,
-    differential: bool = False,
 ) -> InjectionResult:
     """Execute one buggy run with all detectors attached and classify it.
 
@@ -137,24 +136,23 @@ def run_injection(
     restore point must satisfy ``snapshot.cycle <= inject_cycle - 1``.
     The result is bit-identical to a cold run (see tests/test_snapshot.py).
 
-    With ``differential=True`` and a differential provider
-    (``SnapshotProvider(..., differential=True)``), the *suffix* is pruned
-    too: the golden delta trace forecasts the exact activation cycle (a
-    never-activating spec is classified with zero simulation), the restore
-    point moves up to just before that forecast, and the run terminates the
-    moment the variant provably re-converges with the golden trajectory
-    (see :mod:`repro.bugs.differential`). Classification is bit-identical
-    either way; the differential flag is purely a throughput knob, recorded
-    in ``early_terminated_cycle``. Providers without a delta trace (or
-    whose golden run was not detector-silent) silently fall back to the
-    full-suffix path.
+    The provider decides how much of the suffix runs. When it carries a
+    clean golden delta trace (a differential provider whose golden run
+    was detector-silent), the *suffix* is pruned too: the delta trace
+    forecasts the exact activation cycle (a never-activating spec is
+    classified with zero simulation), the restore point moves up to just
+    before that forecast, and the run terminates the moment the variant
+    provably re-converges with the golden trajectory (see
+    :mod:`repro.bugs.differential`); ``early_terminated_cycle`` records
+    it. Any other provider runs the full suffix. Classification is
+    bit-identical either way.
 
     ``deadline`` (absolute ``time.monotonic()``) is the harness wall-clock
     budget; on expiry :class:`~repro.core.errors.DeadlineExceeded`
     propagates to the execution layer — it is *not* a simulated outcome
     and is never classified as one.
     """
-    if differential and snapshots is not None:
+    if snapshots is not None:
         delta = snapshots.delta
         if delta is not None and delta.clean:
             return _run_injection_differential(
@@ -501,7 +499,6 @@ def run_campaign(
     config: Optional[CoreConfig] = None,
     max_attempts: int = 6,
     snapshot_interval: int = 0,
-    differential: bool = False,
     batch_size: int = 1,
 ) -> CampaignResult:
     """Run a full injection campaign (serially; see :mod:`repro.exec`).
@@ -519,12 +516,10 @@ def run_campaign(
         max_attempts: Redraws allowed until an injection actually fires
             (an armed signal nobody exercises has no effect); must be >= 1.
         snapshot_interval: Warm-start snapshot period in cycles; 0 disables
-            warm starting (every injection simulates from power-on). Any
-            value yields bit-identical campaign results — it is purely a
-            throughput knob.
-        differential: Differential suffix execution (requires
-            ``snapshot_interval`` >= 1); bit-identical results, see
-            :mod:`repro.bugs.differential`.
+            warm starting (every injection simulates from power-on); any
+            other value also runs injections differentially (see
+            :mod:`repro.bugs.differential`). Any value yields bit-identical
+            campaign results — it is purely a throughput knob.
         batch_size: Dispatch batching of same-(benchmark, window) tasks;
             1 disables. Bit-identical results for any size.
 
@@ -541,6 +536,5 @@ def run_campaign(
         config=config,
         max_attempts=max_attempts,
         snapshot_interval=snapshot_interval,
-        differential=differential,
         batch_size=batch_size,
     )

@@ -162,21 +162,11 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         metavar="K",
         help=(
             "warm-start injections from golden-run snapshots taken every K "
-            "cycles; 0 disables warm starting. Purely a throughput knob: "
-            "results are bit-identical for any K [250]"
-        ),
-    )
-    parser.add_argument(
-        "--differential",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "differential suffix execution: forecast each injection's "
+            "cycles and run them differentially: forecast each injection's "
             "activation from the golden delta trace, restore just before "
-            "it, and terminate at provable re-convergence with the golden "
-            "run. Bit-identical classifications, large speedup "
-            "(--no-differential to disable; needs --snapshot-interval >= 1, "
-            "silently off otherwise) [on]"
+            "it, and stop at provable re-convergence with the golden run; "
+            "0 runs every injection cold from power-on. Purely a "
+            "throughput knob: results are bit-identical for any K [250]"
         ),
     )
     parser.add_argument(
@@ -390,10 +380,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 snapshot_interval=args.snapshot_interval,
                 checkpoint_fsync=args.checkpoint_fsync,
                 shutdown=shutdown,
-                # Differential needs snapshots; with warm start explicitly
-                # disabled it quietly degrades to full-suffix execution
-                # (same results either way).
-                differential=args.differential and args.snapshot_interval > 0,
                 batch_size=args.batch_size,
             )
     except (CheckpointError, OSError) as exc:
@@ -433,7 +419,7 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
     (coverage-guided differential fuzzing), ``checkpoint``
     (inspect/verify/repair/merge the JSONL artifacts the engines write),
     ``bench`` (the performance trajectory harness; shares the
-    ``--differential``/``--snapshot-interval`` knobs with ``campaign``) and
+    ``--snapshot-interval`` knob with ``campaign``) and
     the distributed campaign fabric (:mod:`repro.exec.fabric`): ``serve``
     (the shard-leasing coordinator), ``submit``/``status``/``fetch`` (post
     a campaign, watch it, download the merged artifact) and ``work`` (a

@@ -21,7 +21,6 @@ detectors consume (:mod:`repro.core.rrs.ports`).
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -199,17 +198,12 @@ class OoOCore:
         self.recovery_strategy = make_recovery_strategy(
             cfg.recovery_strategy, self
         )
-        # Array-accelerated hot stages (flat bitmask wakeup scoreboard).
-        # Resolved once: the toggle is a host-side throughput knob with
-        # bit-identical observable behavior (see CoreConfig.accel).
-        self._accel = cfg.accel_enabled()
         # Quiescence-aware fast-forward: legal only when every attached
         # per-cycle listener is bulk-replayable under the protocol in
         # ports.py. One unproven listener disables skipping for this core
         # entirely (the conservative fallback is exactly today's per-cycle
         # behavior, so an unknown observer can never change an outcome).
-        env = os.environ.get("REPRO_FAST_FORWARD", "").strip().lower()
-        ff_enabled = env not in ("0", "off", "false")
+        ff_enabled = True
         replays: List = []
         for obs in self.observers:
             if overrides_hook(obs, "pipeline_empty") or overrides_hook(
@@ -477,16 +471,8 @@ class OoOCore:
         prf = self.prf
         ready_mask = prf.ready_mask
         for uop in self._issue_scan:
-            if self._accel:
-                source_blocked = uop.src_mask & ~ready_mask
-            else:
-                source_blocked = False
-                for pdst in uop.src_pdsts:
-                    if not prf.is_ready(pdst):
-                        source_blocked = True
-                        break
-            if source_blocked:
-                continue
+            if uop.src_mask & ~ready_mask:
+                continue  # source-blocked
             inst = uop.inst
             if not inst.is_load:
                 return  # would issue
@@ -830,7 +816,6 @@ class OoOCore:
         prf_read = prf.read
         is_ready = prf.is_ready
         ready_mask = prf.ready_mask
-        accel = self._accel
         wakeups = self._wakeups
         store_queue = self.store_queue
         memory_read = self.memory.read
@@ -851,10 +836,9 @@ class OoOCore:
             inst = uop.inst
             # Flat-scoreboard wakeup check: all sources ready iff no bit of
             # src_mask is missing from the PRF ready mask. On a miss, park
-            # on the first not-ready source in operand order -- identical
-            # wait_pdst choice to the scalar walk the fallback runs.
+            # on the first not-ready source in operand order.
             wait = None
-            if not accel or uop.src_mask & ~ready_mask:
+            if uop.src_mask & ~ready_mask:
                 for pdst in uop.src_pdsts:
                     if not is_ready(pdst):
                         wait = pdst

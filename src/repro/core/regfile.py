@@ -19,10 +19,10 @@ class PhysicalRegisterFile:
     Alongside the per-register ready list (the canonical representation
     that ``save_state`` serializes), the file maintains ``ready_mask``, a
     flat scoreboard: one Python integer with bit ``p`` set iff register
-    ``p`` is ready. The issue stage's accelerated path tests all of a
-    uop's sources with a single ``src_mask & ~ready_mask`` instead of a
-    per-source ``is_ready`` loop; both representations are updated by the
-    same two mutators, so they can never disagree.
+    ``p`` is ready. The issue stage tests all of a uop's sources with a
+    single ``src_mask & ~ready_mask`` instead of a per-source ``is_ready``
+    loop; both representations are updated by the same two mutators, so
+    they can never disagree.
     """
 
     def __init__(self, num_regs: int) -> None:

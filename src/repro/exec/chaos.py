@@ -171,7 +171,6 @@ def chaos_runner(task: object, context: ExecutionContext) -> object:
                     context.config,
                     snapshots=context.snapshots(task.benchmark),
                     deadline=context.deadline,
-                    differential=context.differential,
                 )
             )
         return results
@@ -184,7 +183,6 @@ def chaos_runner(task: object, context: ExecutionContext) -> object:
         context.config,
         snapshots=context.snapshots(task.benchmark),
         deadline=context.deadline,
-        differential=context.differential,
     )
 
 
@@ -327,7 +325,6 @@ def _batch_child(path: str) -> int:
         checkpoint_path=path,
         resume=os.path.exists(path),
         snapshot_interval=_BATCH_CHILD_INTERVAL,
-        differential=True,
         batch_size=_BATCH_CHILD_SIZE,
         task_runner=chaos_runner,
     )

@@ -91,7 +91,7 @@ def run_engine(
     checkpoint_fsync: bool = False,
     task_runner: Optional[TaskRunner] = None,
     shutdown: Optional[GracefulShutdown] = None,
-    differential: bool = False,
+    differential: bool = True,
     batch_size: int = 1,
     shard_keys: Optional[Collection[str]] = None,
 ) -> CampaignResult:
@@ -116,9 +116,12 @@ def run_engine(
             place.
         observers: Progress-event callables (see :mod:`repro.exec.progress`).
         snapshot_interval: Warm-start snapshot period in cycles; 0 disables
-            warm starting. Purely a throughput knob — results (and
-            checkpoints) are bit-identical for any value, which is why it
-            is deliberately NOT part of the checkpoint manifest identity.
+            warm starting. Any other value also runs injections
+            differentially (forecasted activation, delta restore,
+            convergence termination — see :mod:`repro.bugs.differential`).
+            Purely a throughput knob — results (and checkpoints) are
+            bit-identical for any value, which is why it is deliberately
+            NOT part of the checkpoint manifest identity.
         checkpoint_fsync: ``os.fsync`` every checkpoint record (survives
             hard machine kills, not just process kills) at an I/O cost.
         task_runner: Override the per-task execution function (see
@@ -128,12 +131,11 @@ def run_engine(
             once requested (SIGINT/SIGTERM) the backend stops dispatching,
             drains inflight work under the latch's deadline and the engine
             returns a partial — but checkpointed and resumable — campaign.
-        differential: Differential suffix execution (forecasted activation,
-            delta restore, convergence termination — see
-            :mod:`repro.bugs.differential`). Requires
-            ``snapshot_interval`` > 0. Like warm starting, a pure
-            throughput knob: classifications and checkpoints are
-            bit-identical either way, so it never joins manifest identity.
+        differential: Accepted so existing callers that pass ``True``
+            still work; the snapshot provider alone decides whether an
+            injection runs differentially. ``False`` raises
+            ``ValueError``: there is no full-suffix campaign path, and
+            ``snapshot_interval=0`` is the cold reference.
         batch_size: Dispatch up to this many pending same-(benchmark,
             inject-window) tasks per backend round trip
             (:class:`~repro.exec.tasks.BatchedInjectionTask`); 1 disables
@@ -156,10 +158,10 @@ def run_engine(
     models = list(models)
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires checkpoint_path")
-    if differential and snapshot_interval <= 0:
+    if not differential:
         raise ValueError(
-            "differential execution needs golden snapshots: set "
-            "snapshot_interval >= 1 or disable differential"
+            "run_engine always runs injections differentially; use "
+            "snapshot_interval=0 for the cold path"
         )
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -181,7 +183,6 @@ def run_engine(
         config=config,
         runner=task_runner,
         snapshot_interval=snapshot_interval,
-        differential=differential,
         shutdown=shutdown,
     )
     # A shard only ever touches its own benchmarks, so skip the (expensive)

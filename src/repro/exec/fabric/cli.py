@@ -272,9 +272,6 @@ def work_main(argv: Optional[List[str]] = None) -> int:
                         help="worker processes per shard [1]")
     parser.add_argument("--snapshot-interval", type=int, default=250,
                         metavar="K")
-    parser.add_argument(
-        "--differential", action=argparse.BooleanOptionalAction, default=True
-    )
     parser.add_argument("--batch-size", type=int, default=8, metavar="N")
     parser.add_argument(
         "--poll", type=float, default=None, metavar="S",
@@ -307,6 +304,18 @@ def work_main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
+    if args.snapshot_interval < 0:
+        print(
+            f"--snapshot-interval must be >= 0, got {args.snapshot_interval}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.batch_size < 1:
+        print(
+            f"--batch-size must be >= 1, got {args.batch_size}",
+            file=sys.stderr,
+        )
+        return 2
     if args.call_deadline <= 0:
         print(
             f"--call-deadline must be > 0, got {args.call_deadline}",
@@ -324,7 +333,6 @@ def work_main(argv: Optional[List[str]] = None) -> int:
         workdir=args.workdir,
         jobs=args.jobs,
         snapshot_interval=args.snapshot_interval,
-        differential=args.differential,
         batch_size=args.batch_size,
         heartbeats=args.heartbeats,
         poll_s=args.poll,

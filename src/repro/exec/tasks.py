@@ -131,15 +131,14 @@ def execute_task(
     config: Optional["CoreConfig"] = None,
     snapshots: Optional["SnapshotProvider"] = None,
     deadline: Optional[float] = None,
-    differential: bool = False,
 ) -> "InjectionResult":
     """Execute one task: draw from its private stream until activation.
 
     Pure with respect to the task — no shared RNG, no global state — so
-    backends may run tasks in any order or process. ``snapshots`` and
-    ``differential`` are throughput-only knobs: warm-started and
-    differentially-executed attempts produce bit-identical results, so
-    neither joins the task's identity. ``deadline`` (absolute
+    backends may run tasks in any order or process. ``snapshots`` is a
+    throughput-only knob: warm-started (and, with a differential provider,
+    differentially-executed) attempts produce bit-identical results, so it
+    never joins the task's identity. ``deadline`` (absolute
     ``time.monotonic()``) is the whole-task wall-clock budget shared by
     all redraw attempts; expiry raises
     :class:`~repro.core.errors.DeadlineExceeded` to the execution layer.
@@ -158,7 +157,7 @@ def execute_task(
     ):
         result = run_injection(
             program, golden, spec, config, snapshots=snapshots,
-            deadline=deadline, differential=differential,
+            deadline=deadline,
         )
         if result.activated:
             break
@@ -222,7 +221,6 @@ def execute_batch(
     config: Optional["CoreConfig"] = None,
     snapshots: Optional["SnapshotProvider"] = None,
     deadline: Optional[float] = None,
-    differential: bool = False,
 ) -> List["InjectionResult"]:
     """Execute every member of a batch, in member order.
 
@@ -234,7 +232,7 @@ def execute_batch(
     return [
         execute_task(
             task, program, golden, config,
-            snapshots=snapshots, deadline=deadline, differential=differential,
+            snapshots=snapshots, deadline=deadline,
         )
         for task in batch.members
     ]

@@ -52,27 +52,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         "campaign identity [32]",
     )
     parser.add_argument(
-        "--snapshot-interval",
-        type=int,
-        default=0,
-        metavar="K",
-        help=(
-            "accepted for parity with 'repro campaign'; the fuzz oracle "
-            "runs each generated program once, so warm-start snapshots "
-            "never apply and this has no effect [0]"
-        ),
-    )
-    parser.add_argument(
-        "--differential",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "accepted for parity with 'repro campaign'; the fuzz oracle "
-            "has no golden delta trace to run a differential suffix "
-            "against, so this has no effect on fuzzing results [on]"
-        ),
-    )
-    parser.add_argument(
         "--shrink-budget",
         type=int,
         default=250,
@@ -168,12 +147,6 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     if args.batch < 1:
         print(f"--batch must be >= 1, got {args.batch}", file=sys.stderr)
         return 2
-    if args.snapshot_interval < 0:
-        print(
-            f"--snapshot-interval must be >= 0, got {args.snapshot_interval}",
-            file=sys.stderr,
-        )
-        return 2
     if args.checkpoint and args.resume:
         print(
             "--checkpoint and --resume are mutually exclusive "
@@ -218,8 +191,6 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
                 resume=args.resume is not None,
                 observers=observers,
                 save_corpus_dir=args.save_corpus,
-                snapshot_interval=args.snapshot_interval,
-                differential=args.differential,
                 checkpoint_fsync=args.checkpoint_fsync,
                 shutdown=shutdown,
             )

@@ -605,8 +605,6 @@ def run_fuzz(
     observers: Sequence[ProgressObserver] = (),
     save_corpus_dir: Optional[str] = None,
     bug: Optional[BugSpec] = None,
-    snapshot_interval: int = 0,
-    differential: bool = False,
     checkpoint_fsync: bool = False,
     shutdown: Optional[GracefulShutdown] = None,
 ) -> FuzzSummary:
@@ -629,14 +627,6 @@ def run_fuzz(
         save_corpus_dir: If set, dump the final corpus as artifacts.
         bug: Optional armed BugSpec applied to every evaluation — exercises
             the oracle/shrinker/artifact loop against a known-bad core.
-        snapshot_interval: Accepted for CLI parity with ``repro campaign``;
-            the fuzz oracle runs each generated program exactly once, so
-            there is no repeated prefix to warm-start and the value has no
-            effect on fuzzing throughput or results. It is deliberately
-            NOT part of the fuzz manifest identity.
-        differential: Accepted for CLI parity with ``repro campaign``;
-            the fuzz oracle has no golden delta trace to run a
-            differential suffix against, so this has no effect either.
         checkpoint_fsync: ``os.fsync`` every checkpoint record.
         shutdown: A :class:`~repro.exec.durability.GracefulShutdown`
             latch; once requested the backend stops dispatching and the
@@ -674,8 +664,6 @@ def run_fuzz(
         programs={},
         config=campaign.config,
         runner=run_fuzz_task,
-        snapshot_interval=snapshot_interval,
-        differential=differential,
         shutdown=shutdown,
     )
     expected_manifest = _fuzz_manifest(

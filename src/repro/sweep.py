@@ -107,16 +107,9 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         type=int,
         default=250,
         metavar="K",
-        help="warm-start snapshot period in cycles; 0 disables [250]",
-    )
-    parser.add_argument(
-        "--differential",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="differential suffix execution per cell (forecasted "
-        "activation, convergence-terminated delta runs); bit-identical "
-        "results, needs --snapshot-interval >= 1 and silently falls "
-        "back to full suffixes otherwise [on]",
+        help="warm-start snapshot period in cycles, with differential "
+        "(forecast, convergence-terminated) injections; 0 runs them cold "
+        "from power-on. Bit-identical results for any value [250]",
     )
     parser.add_argument(
         "--batch-size",
@@ -251,6 +244,10 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
+    if args.snapshot_interval < 0:
+        print(f"--snapshot-interval must be >= 0, got "
+              f"{args.snapshot_interval}", file=sys.stderr)
+        return 2
     if args.batch_size < 1:
         print(f"--batch-size must be >= 1, got {args.batch_size}",
               file=sys.stderr)
@@ -328,8 +325,6 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                 resume=resume,
                 snapshot_interval=args.snapshot_interval,
                 checkpoint_fsync=args.checkpoint_fsync,
-                differential=args.differential
-                and args.snapshot_interval > 0,
                 batch_size=args.batch_size,
             )
         except (CheckpointError, OSError) as exc:

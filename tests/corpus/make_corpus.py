@@ -119,9 +119,7 @@ def make_differential_seeds() -> None:
         model = rng.choice(list(PRIMARY_MODELS))
         spec = draw_spec(model, rng, golden.cycles, config)
         full = run_injection(program, golden, spec)
-        diff = run_injection(
-            program, golden, spec, snapshots=provider, differential=True
-        )
+        diff = run_injection(program, golden, spec, snapshots=provider)
         assert diff == full, f"differential mismatch while mining: {spec}"
         category = _categorize(full, diff, DIFF_INTERVAL)
         if category is None or kept[category] >= DIFF_KEEP:

@@ -100,9 +100,7 @@ def test_differential_seed_replays_to_recorded_verdict(path):
     spec = spec_from_dict(seed["spec"])
 
     full = run_injection(program, golden, spec)
-    diff = run_injection(
-        program, golden, spec, snapshots=provider, differential=True
-    )
+    diff = run_injection(program, golden, spec, snapshots=provider)
     # The differential run must match the full-suffix run on every
     # simulation-outcome field (InjectionResult equality excludes only
     # the throughput bookkeeping)...

@@ -10,7 +10,7 @@ full-suffix run of the same spec. These tests pin that at three levels:
   discipline x recovery strategy) on one benchmark, asserting outcome
   classification, detector verdicts and latency stats cell by cell,
 * whole engine campaigns: batched ``--jobs N`` differential execution
-  stays bit-identical to ``--jobs 1`` serial and to plain warm-start.
+  stays bit-identical to ``--jobs 1`` serial and to the cold campaign.
 
 ``InjectionResult`` equality covers every simulation-outcome field —
 outcome class, activation/manifestation/final cycles, persistence, the
@@ -34,7 +34,11 @@ from repro.core.config import (
     RECOVERY_STRATEGIES,
     CoreConfig,
 )
-from repro.exec.backends import ProcessPoolBackend, SerialBackend
+from repro.exec.backends import (
+    ExecutionContext,
+    ProcessPoolBackend,
+    SerialBackend,
+)
 from repro.exec.engine import run_engine
 from repro.workloads import WORKLOADS
 
@@ -62,7 +66,8 @@ def programs():
 
 @pytest.mark.parametrize("name", SUITE)
 def test_differential_equals_full_suffix(name, programs):
-    """run_injection(differential=True) == full-suffix run, all models."""
+    """run_injection with a differential provider == full-suffix run, all
+    models."""
     prog = programs[name]
     provider = SnapshotProvider(prog, INTERVAL, differential=True)
     golden = provider.golden
@@ -71,9 +76,7 @@ def test_differential_equals_full_suffix(name, programs):
     for model in PRIMARY_MODELS:
         spec = draw_spec(model, rng, golden.cycles, config)
         full = run_injection(prog, golden, spec)
-        diff = run_injection(
-            prog, golden, spec, snapshots=provider, differential=True
-        )
+        diff = run_injection(prog, golden, spec, snapshots=provider)
         assert diff == full, f"{name}/{model.value} diverged"
         assert full.early_terminated_cycle is None
 
@@ -89,9 +92,7 @@ def test_differential_actually_terminates_early(programs):
     for trial in range(12):
         for model in PRIMARY_MODELS:
             spec = draw_spec(model, rng, golden.cycles, config)
-            diff = run_injection(
-                prog, golden, spec, snapshots=provider, differential=True
-            )
+            diff = run_injection(prog, golden, spec, snapshots=provider)
             if diff.early_terminated_cycle is not None:
                 early += 1
     assert early > 0, "no run ever terminated early or skipped via forecast"
@@ -126,7 +127,6 @@ def test_differential_equals_full_across_sweep_cells(width, discipline, recovery
             spec,
             config=config,
             snapshots=provider,
-            differential=True,
         )
         cell = f"w{width}/{discipline}/{recovery}/{model.value}"
         assert diff.outcome == full.outcome, cell
@@ -154,16 +154,15 @@ def test_differential_equals_full_across_sweep_cells(width, discipline, recovery
 
 
 def test_engine_batched_jobs_identical_to_serial(programs):
-    """Differential + batched + pooled campaigns == plain warm campaigns."""
+    """Differential + batched + pooled campaigns == cold campaigns."""
     subset = {name: programs[name] for name in ("bitcount", "crc32")}
-    base = run_engine(subset, 2, seed=9, snapshot_interval=INTERVAL)
+    base = run_engine(subset, 2, seed=9, snapshot_interval=0)
 
     serial_diff = run_engine(
         subset,
         2,
         seed=9,
         snapshot_interval=INTERVAL,
-        differential=True,
         batch_size=1,
     )
     assert serial_diff.results == base.results
@@ -173,7 +172,6 @@ def test_engine_batched_jobs_identical_to_serial(programs):
         2,
         seed=9,
         snapshot_interval=INTERVAL,
-        differential=True,
         batch_size=4,
         backend=SerialBackend(),
     )
@@ -184,8 +182,22 @@ def test_engine_batched_jobs_identical_to_serial(programs):
         2,
         seed=9,
         snapshot_interval=INTERVAL,
-        differential=True,
         batch_size=4,
         backend=ProcessPoolBackend(jobs=2),
     )
     assert batched_pooled.results == base.results
+
+
+def test_campaign_providers_are_differential(programs):
+    """Warm-started campaigns always get a delta trace: the provider, not a
+    flag, decides the differential path, and ``snapshot_interval=0`` is
+    the only other campaign path (the cold reference)."""
+    context = ExecutionContext(
+        programs={"bitcount": programs["bitcount"]},
+        snapshot_interval=INTERVAL,
+    )
+    assert context.snapshots("bitcount").delta is not None
+    with pytest.raises(ValueError, match="snapshot_interval=0"):
+        run_engine(
+            {"bitcount": programs["bitcount"]}, 1, differential=False
+        )

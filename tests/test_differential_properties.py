@@ -80,9 +80,7 @@ def test_differential_classifies_like_forced_full_run(model, seed):
     prog, provider = _env()
     golden = provider.golden
     spec = draw_spec(model, random.Random(seed), golden.cycles, CoreConfig())
-    diff = run_injection(
-        prog, golden, spec, snapshots=provider, differential=True
-    )
+    diff = run_injection(prog, golden, spec, snapshots=provider)
     full = run_injection(prog, golden, spec)
     # InjectionResult equality spans every simulation-outcome field;
     # early_terminated_cycle is compare-excluded bookkeeping.

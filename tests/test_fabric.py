@@ -593,3 +593,19 @@ def test_http_transport_round_trip_drives_a_full_campaign(
     finally:
         server.shutdown()
         thread.join(timeout=5.0)
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--batch-size", "0"), ("--snapshot-interval", "-1")]
+)
+def test_cli_work_rejects_bad_throughput_knobs(flag, value, capsys):
+    """A bad value is refused up front with exit 2 and a one-line error,
+    before any coordinator is contacted -- not raised inside every lease,
+    where the shard would be released failed and bounce toward
+    quarantine."""
+    from repro.exec.fabric.cli import work_main
+
+    code = work_main(["--coordinator", "http://127.0.0.1:9", flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err

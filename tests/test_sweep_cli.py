@@ -86,6 +86,11 @@ class TestSweepCli:
         assert sweep_main(["--benchmarks", "nonesuch"]) == 2
         capsys.readouterr()
 
+    def test_negative_snapshot_interval_rejected(self, capsys):
+        assert sweep_main(["--snapshot-interval", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--snapshot-interval" in err
+
     def test_cell_checkpoint_path_naming(self):
         assert cell_checkpoint_path("d", 4, "stack", "rob-walk") == (
             os.path.join("d", "sweep-w4-stack-rob-walk.jsonl")
