@@ -6,10 +6,11 @@ backend, in completion order for the process pool. Because every task
 carries its own derived seed, the pair stream is order-independent: the
 engine re-sorts by task index, so all backends produce identical campaigns.
 
-``ProcessPoolBackend`` ships the program table and core config to each
-worker once (at pool start), and each worker lazily computes and caches the
-golden run per benchmark, so a campaign of N injections over B benchmarks
-costs at most B golden runs per worker regardless of N.
+``ProcessPoolBackend`` ships the parent's :class:`ExecutionContext` to each
+worker once (at pool start), golden runs and snapshot providers included:
+the engine builds them before the backend starts, so no worker simulates a
+golden run. Under ``fork`` the workers inherit them; under ``spawn`` or
+``forkserver`` they are pickled once per worker.
 
 Fault tolerance: constructed with a :class:`~repro.exec.resilience.FaultPolicy`,
 both backends survive misbehaving tasks instead of aborting the campaign.
@@ -36,7 +37,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Deque,
@@ -95,18 +96,21 @@ class ExecutionContext:
 
     ``runner`` makes the backends task-agnostic: when set (e.g. to
     :func:`repro.fuzz.engine.run_fuzz_task`), every task is dispatched to
-    it; when None, tasks follow the classic injection path with per-worker
-    golden caching.
+    it; when None, tasks follow the classic injection path with cached
+    golden runs.
 
-    ``snapshot_interval`` > 0 enables warm-start injection: each worker
+    ``snapshot_interval`` > 0 enables warm-start injection: the context
     lazily builds one :class:`~repro.bugs.snapshot.SnapshotProvider` per
     benchmark (an instrumented golden run capturing machine snapshots every
     that-many cycles, plus the golden delta trace) and injections run
     differentially: they forecast their activation, restore just before
     it and stop at re-convergence (see :mod:`repro.bugs.differential`).
     The provider's golden doubles as the cached reference run, so the
-    provider replaces — not adds to — the per-worker golden cost. Results
-    are bit-identical for any interval, 0 (cold, from power-on) included.
+    provider replaces — not adds to — the golden cost. Results are
+    bit-identical for any interval, 0 (cold, from power-on) included.
+    Pool workers receive the parent's context with its goldens and
+    providers already built, so they only ever build what the parent has
+    not.
 
     ``task_timeout_s`` is the cooperative per-task wall-clock budget: at
     each :meth:`execute` an absolute deadline is computed and threaded into
@@ -282,27 +286,16 @@ class SerialBackend:
 
 # -- process-pool worker state ------------------------------------------------
 #
-# Populated once per worker by the pool initializer; the golden cache fills
-# lazily as the worker sees each benchmark for the first time.
+# Set once per worker by the pool initializer to the parent's context, with
+# the goldens and snapshot providers the parent built before the pool
+# started.
 
 _WORKER_CONTEXT: Optional[ExecutionContext] = None
 
 
-def _worker_init(
-    programs: Dict[str, Program],
-    config: Optional[CoreConfig],
-    runner: Optional[TaskRunner] = None,
-    snapshot_interval: int = 0,
-    task_timeout_s: Optional[float] = None,
-) -> None:
+def _worker_init(context: ExecutionContext) -> None:
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = ExecutionContext(
-        programs=programs,
-        config=config,
-        runner=runner,
-        snapshot_interval=snapshot_interval,
-        task_timeout_s=task_timeout_s,
-    )
+    _WORKER_CONTEXT = context
 
 
 def _worker_execute(task: object) -> object:
@@ -355,17 +348,12 @@ class ProcessPoolBackend:
     # -- pool lifecycle -------------------------------------------------------
 
     def _spawn(self, context: ExecutionContext) -> ProcessPoolExecutor:
-        timeout = self.policy.task_timeout_s if self.policy else None
+        # The shutdown latch is parent-only; everything else, the built
+        # goldens and providers included, goes to the workers as is.
         return ProcessPoolExecutor(
             max_workers=self.jobs,
             initializer=_worker_init,
-            initargs=(
-                context.programs,
-                context.config,
-                context.runner,
-                context.snapshot_interval,
-                timeout,
-            ),
+            initargs=(replace(context, shutdown=None),),
         )
 
     @staticmethod

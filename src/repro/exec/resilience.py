@@ -96,8 +96,9 @@ class FaultPolicy:
             watchdog_grace_s``. None disables both.
         watchdog_grace_s: Extra wall-clock slack the parent grants beyond
             ``task_timeout_s`` before declaring a task hung and killing
-            its pool. Covers per-worker golden/snapshot warm-up, which
-            runs before the cooperative deadline can bite.
+            its pool. Covers any golden/snapshot build the parent left
+            to the worker, which runs before the cooperative deadline
+            can bite.
         max_task_retries: Retries after the first attempt before a task
             is quarantined (so a task runs at most ``1 + max_task_retries``
             times). Each retry gets a fresh pool slot.

@@ -21,7 +21,9 @@ below is exactly the "identical classification, verdicts and latency"
 claim of the acceptance criteria.
 """
 
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -40,6 +42,8 @@ from repro.exec.backends import (
     SerialBackend,
 )
 from repro.exec.engine import run_engine
+from repro.exec.resilience import FaultPolicy
+from repro.exec.tasks import execute_task, generate_tasks
 from repro.workloads import WORKLOADS
 
 SUITE = sorted(WORKLOADS)
@@ -201,3 +205,59 @@ def test_campaign_providers_are_differential(programs):
         run_engine(
             {"bitcount": programs["bitcount"]}, 1, differential=False
         )
+
+
+# -- pool workers start from the parent's providers ---------------------------
+
+POOL_BENCHES = ("bitcount", "sha")
+
+
+def _worker_providers(task, context):
+    """Task runner: the benchmarks whose provider the worker already holds
+    as the task starts."""
+    return sorted(context._snapshots)
+
+
+def _built_context(programs):
+    context = ExecutionContext(
+        programs={name: programs[name] for name in POOL_BENCHES},
+        snapshot_interval=INTERVAL,
+    )
+    for name in POOL_BENCHES:
+        context.golden(name)
+    return context
+
+
+@pytest.mark.parametrize(
+    "policy", [None, FaultPolicy()], ids=["fail-fast", "resilient"]
+)
+def test_pool_workers_receive_parent_providers(programs, policy):
+    """Every task, each worker's first included, sees every provider the
+    parent built: no worker rebuilds a golden run."""
+    context = replace(_built_context(programs), runner=_worker_providers)
+    tasks = generate_tasks(list(POOL_BENCHES), 2, PRIMARY_MODELS, 5)
+    outcomes = list(ProcessPoolBackend(2, policy=policy).run(tasks, context))
+    assert len(outcomes) == len(tasks)
+    for task, seen in outcomes:
+        assert seen == sorted(POOL_BENCHES), task.key
+
+
+def test_worker_context_pickles_with_providers(programs):
+    """The spawn/forkserver path: the context a worker unpickles keeps each
+    golden shared with its provider and runs every model identically."""
+    context = _built_context(programs)
+    copy = pickle.loads(pickle.dumps(replace(context, shutdown=None)))
+    tasks = generate_tasks(list(POOL_BENCHES), 1, PRIMARY_MODELS, 11)
+    for name in POOL_BENCHES:
+        assert copy._goldens[name] is copy._snapshots[name].golden
+    for task in tasks:
+        results = [
+            execute_task(
+                task,
+                ctx.programs[task.benchmark],
+                ctx.golden(task.benchmark),
+                snapshots=ctx.snapshots(task.benchmark),
+            )
+            for ctx in (context, copy)
+        ]
+        assert results[0] == results[1], task.key
