@@ -81,8 +81,9 @@ def add_fault_args(parser: argparse.ArgumentParser) -> None:
 
 def policy_from_args(args: argparse.Namespace):
     """Build the FaultPolicy the CLI runs under (resilience is on by
-    default here; the library default ``policy=None`` keeps the legacy
-    fail-fast behavior). Raises ValueError on bad knob values."""
+    default here; the backends' library default,
+    :data:`~repro.exec.backends.FAIL_FAST`, stops at the first failure).
+    Raises ValueError on bad knob values."""
     from repro.exec.resilience import FaultPolicy
 
     return FaultPolicy(

@@ -12,18 +12,20 @@ the engine builds them before the backend starts, so no worker simulates a
 golden run. Under ``fork`` the workers inherit them; under ``spawn`` or
 ``forkserver`` they are pickled once per worker.
 
-Fault tolerance: constructed with a :class:`~repro.exec.resilience.FaultPolicy`,
-both backends survive misbehaving tasks instead of aborting the campaign.
-A task that raises, exceeds its wall-clock budget, or kills its worker
-process is retried (fresh pool slot each attempt) and finally *quarantined*:
-yielded as a :class:`~repro.exec.resilience.TaskFailure` in place of a
-result. The pool backend additionally recovers from
-``BrokenProcessPool``/lost futures by respawning the pool with exponential
-backoff, re-running the tasks that were in flight **one at a time** (so the
-next crash identifies the poison task exactly), and — after repeated pool
-breakage with no progress — degrading to in-process serial execution for
-the remaining tasks. Without a policy (``policy=None``) the legacy
-fail-fast behavior is preserved: the first error propagates.
+Fault tolerance: every run goes through one policy-driven path per
+backend, with a :class:`~repro.exec.resilience.FaultPolicy` deciding how
+much to survive. A task that raises, exceeds its wall-clock budget, or
+kills its worker process is retried (fresh pool slot each attempt) and
+finally *quarantined*: yielded as a
+:class:`~repro.exec.resilience.TaskFailure` in place of a result. The pool
+backend additionally recovers from ``BrokenProcessPool``/lost futures by
+respawning the pool with exponential backoff, re-running the tasks that
+were in flight **one at a time** (so the next crash identifies the poison
+task exactly), and — after repeated pool breakage with no progress —
+degrading to in-process serial execution for the remaining tasks. The
+default policy, :data:`FAIL_FAST`, retries nothing and is strict: the first
+failure raises :class:`~repro.exec.resilience.FaultToleranceError`,
+chained to the task's own exception.
 """
 
 from __future__ import annotations
@@ -83,6 +85,10 @@ TaskRunner = Callable[[object, "ExecutionContext"], object]
 #: What a policy-enabled backend yields per task: the result, or the
 #: structured account of why the task was given up on.
 TaskOutcome = Union[InjectionResult, TaskFailure]
+
+#: The default policy of both backends: no retries, and the first failure
+#: raises :class:`FaultToleranceError` (library callers stop at once).
+FAIL_FAST = FaultPolicy(max_task_retries=0, strict=True)
 
 try:  # pragma: no cover - 3.8+ always has Protocol
     from typing import Protocol
@@ -232,11 +238,13 @@ def run_task_with_retries(
     quarantined without being re-run in-process.
     """
     last_failure: Optional[TaskFailure] = None
+    last_exc: Optional[Exception] = None
     while not tracker.exhausted(task.key):
         tracker.record_attempt(task.key)
         try:
             return context.execute(task)
         except Exception as exc:
+            last_exc = exc
             last_failure = failure_from_exception(
                 exc, tracker.attempts(task.key)
             )
@@ -249,39 +257,33 @@ def run_task_with_retries(
             f"task {task.key} failed after "
             f"{last_failure.attempts} attempt(s) "
             f"[{last_failure.kind}]: {last_failure.message}"
-        )
+        ) from last_exc
     return last_failure
 
 
 class SerialBackend:
     """In-process execution, one task at a time, in task order.
 
-    With a :class:`FaultPolicy`, task exceptions and cooperative deadline
-    expiries are retried then quarantined instead of aborting the run.
-    (A task that kills the process outright cannot be survived in-process;
-    that protection needs :class:`ProcessPoolBackend`.)
+    Task exceptions and cooperative deadline expiries are retried then
+    quarantined, or raised, as the :class:`FaultPolicy` says. (A task that
+    kills the process outright cannot be survived in-process; that
+    protection needs :class:`ProcessPoolBackend`.)
     """
 
-    def __init__(self, policy: Optional[FaultPolicy] = None) -> None:
+    def __init__(self, policy: FaultPolicy = FAIL_FAST) -> None:
         self.policy = policy
 
     def run(
         self, tasks: Sequence[InjectionTask], context: ExecutionContext
     ) -> Iterator[Tuple[InjectionTask, TaskOutcome]]:
-        if self.policy is not None:
-            context.task_timeout_s = self.policy.task_timeout_s
-            tracker = AttemptTracker(self.policy)
-            for task in tasks:
-                if _shutdown_requested(context):
-                    return
-                yield task, run_task_with_retries(
-                    task, context, self.policy, tracker
-                )
-            return
+        context.task_timeout_s = self.policy.task_timeout_s
+        tracker = AttemptTracker(self.policy)
         for task in tasks:
             if _shutdown_requested(context):
                 return
-            yield task, context.execute(task)
+            yield task, run_task_with_retries(
+                task, context, self.policy, tracker
+            )
 
 
 # -- process-pool worker state ------------------------------------------------
@@ -321,7 +323,7 @@ class ProcessPoolBackend:
     on the pool at once so paper-scale campaigns (tens of thousands of
     tasks) do not hold every pending future in memory.
 
-    With a :class:`FaultPolicy` the backend is fault-tolerant — see the
+    The :class:`FaultPolicy` sets how fault-tolerant it is — see the
     module docstring for the recovery model (retry + quarantine, watchdog,
     pool respawn with crash attribution by probing, serial degradation).
     """
@@ -333,7 +335,7 @@ class ProcessPoolBackend:
         self,
         jobs: int,
         max_inflight: Optional[int] = None,
-        policy: Optional[FaultPolicy] = None,
+        policy: FaultPolicy = FAIL_FAST,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -375,48 +377,7 @@ class ProcessPoolBackend:
     def run(
         self, tasks: Sequence[InjectionTask], context: ExecutionContext
     ) -> Iterator[Tuple[InjectionTask, TaskOutcome]]:
-        if self.policy is not None:
-            return self._run_resilient(tasks, context, self.policy)
-        return self._run_fast(tasks, context)
-
-    def _run_fast(
-        self, tasks: Sequence[InjectionTask], context: ExecutionContext
-    ) -> Iterator[Tuple[InjectionTask, InjectionResult]]:
-        """Legacy fail-fast path: any worker error propagates immediately."""
-        pending = list(tasks)
-        with self._spawn(context) as pool:
-            inflight = {}
-            cursor = 0
-            while cursor < len(pending) or inflight:
-                if _shutdown_requested(context):
-                    # Stop dispatching; collect what finishes within the
-                    # drain deadline, abandon the rest (resume re-runs them).
-                    done, _ = wait(
-                        inflight, timeout=context.shutdown.drain_remaining()
-                    )
-                    for future in done:
-                        task = inflight.pop(future)
-                        if future.exception() is None:
-                            yield task, future.result()
-                    self._kill_pool(pool)
-                    return
-                while cursor < len(pending) and len(inflight) < self.max_inflight:
-                    task = pending[cursor]
-                    inflight[pool.submit(_worker_execute, task)] = task
-                    cursor += 1
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = inflight.pop(future)
-                    yield task, future.result()
-
-    # -- the resilient path ----------------------------------------------------
-
-    def _run_resilient(
-        self,
-        tasks: Sequence[InjectionTask],
-        context: ExecutionContext,
-        policy: FaultPolicy,
-    ) -> Iterator[Tuple[InjectionTask, TaskOutcome]]:
+        policy = self.policy
         context.task_timeout_s = policy.task_timeout_s
         tracker = AttemptTracker(policy)
         queue: Deque[object] = deque(tasks)
@@ -429,7 +390,7 @@ class ProcessPoolBackend:
 
         def quarantine_or_requeue(
             task: object, failure: TaskFailure, requeue_to: Deque[object],
-            front: bool = False,
+            front: bool = False, cause: Optional[BaseException] = None,
         ) -> Optional[Tuple[object, TaskFailure]]:
             """After a charged attempt: retry, or emit the quarantine pair."""
             if not tracker.exhausted(task.key):
@@ -442,7 +403,7 @@ class ProcessPoolBackend:
                 raise FaultToleranceError(
                     f"task {task.key} failed after {failure.attempts} "
                     f"attempt(s) [{failure.kind}]: {failure.message}"
-                )
+                ) from cause
             return task, failure
 
         try:
@@ -533,13 +494,13 @@ class ProcessPoolBackend:
                     task = entry.task
                     try:
                         outcome = future.result()
-                    except (BrokenProcessPool, CancelledError):
+                    except (BrokenProcessPool, CancelledError) as exc:
                         if entry.probe:
                             # Attributed: this exact task killed its worker.
                             attempts = tracker.record_attempt(task.key)
                             pair = quarantine_or_requeue(
                                 task, crash_failure(attempts), suspects,
-                                front=True,
+                                front=True, cause=exc,
                             )
                             if pair is not None:
                                 yield pair
@@ -555,6 +516,7 @@ class ProcessPoolBackend:
                             task,
                             failure_from_exception(exc, attempts),
                             queue,
+                            cause=exc,
                         )
                         if pair is not None:
                             yield pair

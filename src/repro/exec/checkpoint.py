@@ -16,34 +16,31 @@ detected at read time with line numbers (``repro checkpoint verify`` /
 ``repair`` operate on exactly this). v1 files (no CRCs) are still loaded
 and resumed; their records simply go unchecksummed.
 
+Writing, loading and the single-writer lock are the shared machinery of
+:mod:`repro.exec.durability` (:class:`~repro.exec.durability.SealedLogWriter`,
+:func:`~repro.exec.durability.load_sealed`); this module supplies only the
+campaign family's record builders and decoders (:data:`CAMPAIGN_RECORDS`).
 A process killed mid-append may leave a truncated final line; the loader
 tolerates (and drops) exactly that — a malformed line anywhere else is a
-corruption error. A sidecar ``<path>.lock`` (PID + heartbeat mtime) makes
-the writer single-owner: a second concurrent run refuses to append to the
-same file, with stale-lock takeover once the heartbeat ages out.
+corruption error.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from typing import Dict, IO, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.analysis.outcomes import OutcomeClass
 from repro.bugs.campaign import InjectionResult
 from repro.bugs.models import BugModel, BugSpec
 from repro.core.cpu import RunResult
 from repro.core.rrs.signals import ArrayName, SignalKind
-from repro.exec.durability import (
+from repro.exec.durability import (  # CheckpointError: re-exported
     CheckpointError,
-    CheckpointLock,
-    ENV_TORN_APPEND,
-    TORN_APPEND_EXIT_STATUS,
-    iter_sealed_records,
+    RecordFamily,
+    SealedLogWriter,
+    load_sealed,
     manifest_identity,
-    seal_record,
-    truncate_torn_tail,
 )
 from repro.exec.resilience import TaskFailure, TaskFailureRecord
 from repro.exec.tasks import InjectionTask
@@ -104,18 +101,8 @@ class Manifest:
 
     @classmethod
     def from_record(cls, record: Dict[str, object]) -> "Manifest":
-        if record.get("type") != "manifest":
-            raise CheckpointError("checkpoint does not start with a manifest")
-        if record.get("version") not in SUPPORTED_VERSIONS:
-            raise CheckpointError(
-                f"unsupported checkpoint version {record.get('version')!r}"
-            )
-        identity = record.get("identity")
-        if identity is not None and identity != manifest_identity(record):
-            raise CheckpointError(
-                "manifest identity hash mismatch (manifest edited or "
-                "corrupted)"
-            )
+        """Decode the fields of a manifest record whose type, version and
+        identity hash the fold has already checked."""
         return cls(
             seed=record["seed"],
             runs_per_model=record["runs_per_model"],
@@ -194,27 +181,11 @@ def result_from_dict(data: Dict[str, object]) -> InjectionResult:
     )
 
 
-#: Backwards-compatible alias: torn-tail truncation now streams backwards
-#: block-wise (O(torn tail) RAM, not O(file)) in :mod:`repro.exec.durability`.
-_truncate_torn_tail = truncate_torn_tail
-
-
-class CheckpointWriter:
-    """Appends completed task results to a JSONL checkpoint file.
-
-    In fresh mode the manifest is written (and flushed) first; in resume
-    mode the file is opened for append and the manifest must already be
-    present. Every record is flushed, so a *process* kill loses at most
-    the line being written; with ``fsync=True`` every record is also
-    ``os.fsync``'d, so the checkpoint additionally survives hard machine
-    kills (power loss, kernel panic) at a per-record I/O cost.
-
-    Every record is CRC-sealed (format v2), and with ``lock=True`` (the
-    default) a sidecar single-writer lock is held for the writer's
-    lifetime — a concurrent second run raises
-    :class:`~repro.exec.durability.CheckpointLockedError` instead of
-    interleaving appends; the lock's heartbeat refreshes on every append.
-    """
+class CheckpointWriter(SealedLogWriter):
+    """Appends completed and quarantined campaign tasks to a checkpoint
+    through the shared :class:`~repro.exec.durability.SealedLogWriter`
+    (lock, torn-tail truncation, manifest first, seal + flush + optional
+    fsync per record)."""
 
     def __init__(
         self,
@@ -222,29 +193,11 @@ class CheckpointWriter:
         manifest: Manifest,
         resume: bool = False,
         fsync: bool = False,
-        lock: bool = True,
     ) -> None:
-        self.path = path
-        self.manifest = manifest
-        self.fsync = fsync
-        self._handle: Optional[IO[str]] = None
-        self._lock: Optional[CheckpointLock] = None
-        if lock:
-            self._lock = CheckpointLock(path).acquire()
-        try:
-            if resume:
-                _truncate_torn_tail(path)
-                self._handle = open(path, "a")
-            else:
-                self._handle = open(path, "w")
-                self._append(manifest.to_record())
-        except BaseException:
-            if self._lock is not None:
-                self._lock.release()
-            raise
+        super().__init__(path, manifest.to_record(), resume, fsync)
 
     def write_result(self, task: InjectionTask, result: InjectionResult) -> None:
-        self._append(
+        self.append(
             {
                 "type": "result",
                 "index": task.index,
@@ -257,7 +210,7 @@ class CheckpointWriter:
 
     def write_failure(self, task: InjectionTask, failure: TaskFailure) -> None:
         """Record one quarantined task so a resume skips it."""
-        self._append(
+        self.append(
             {
                 "type": "failure",
                 "index": task.index,
@@ -267,37 +220,32 @@ class CheckpointWriter:
             }
         )
 
-    def _append(self, record: Dict[str, object]) -> None:
-        assert self._handle is not None
-        line = json.dumps(seal_record(record), sort_keys=True) + "\n"
-        torn_key = os.environ.get(ENV_TORN_APPEND)
-        if torn_key and record.get("key") == torn_key:
-            # Chaos hook: a deterministic SIGKILL-mid-append — half the
-            # line reaches the file, no newline, and the process dies with
-            # the lock still on disk. Production runs never set this.
-            self._handle.write(line[: len(line) // 2])
-            self._handle.flush()
-            os._exit(TORN_APPEND_EXIT_STATUS)
-        self._handle.write(line)
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
-        if self._lock is not None:
-            self._lock.heartbeat()
 
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        if self._lock is not None:
-            self._lock.release()
-            self._lock = None
+def _result_entry(record: Dict[str, object]) -> Tuple[int, InjectionResult]:
+    if "key" not in record:  # the fold would key it by index instead
+        raise KeyError("key")
+    return record["index"], result_from_dict(record["result"])
 
-    def __enter__(self) -> "CheckpointWriter":
-        return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+def _failure_entry(record: Dict[str, object]) -> TaskFailureRecord:
+    return TaskFailureRecord(
+        key=record["key"],
+        index=record["index"],
+        benchmark=record.get("benchmark"),
+        failure=TaskFailure.from_record(record["failure"]),
+    )
+
+
+#: The campaign checkpoint family: ``manifest`` first, then ``result``
+#: records decoding to ``(index, InjectionResult)`` and ``failure`` records
+#: decoding to :class:`~repro.exec.resilience.TaskFailureRecord`.
+CAMPAIGN_RECORDS = RecordFamily(
+    name="campaign",
+    manifest_type="manifest",
+    versions=SUPPORTED_VERSIONS,
+    decoders={"result": _result_entry, "failure": _failure_entry},
+    load_manifest=Manifest.from_record,
+)
 
 
 def load_checkpoint(
@@ -321,47 +269,16 @@ def load_checkpoint_full(
 ]:
     """Load a checkpoint: manifest, completed results, quarantined tasks.
 
-    Returns ``(manifest, key -> (index, result), key -> failure record)``.
-    Tolerates a truncated final line (the signature of a killed run);
-    raises :class:`CheckpointError` — with the line number — for any other
-    malformation, including an interior CRC mismatch. Streams the file
-    line by line (multi-GB checkpoints never land in memory whole). When
-    the same key appears twice the later record wins — harmless for
-    results (records for a key are byte-identical by construction) and
-    correct for failures (a later *result* for a previously-quarantined
-    key means a retry eventually succeeded, so the failure is superseded).
+    Returns ``(manifest, key -> (index, result), key -> failure record)``
+    through the strict :func:`~repro.exec.durability.load_sealed`: a torn
+    final line is dropped, any other damage raises :class:`CheckpointError`
+    with its line number. When the same key appears twice the later record
+    wins — harmless for results (records for a key are byte-identical by
+    construction) and correct for failures (a later *result* for a
+    previously-quarantined key means a retry eventually succeeded, so the
+    failure is superseded).
     """
-    if os.path.getsize(path) == 0:
-        raise CheckpointError(f"{path}: empty checkpoint file")
-    manifest: Optional[Manifest] = None
-    done: Dict[str, Tuple[int, InjectionResult]] = {}
-    failures: Dict[str, TaskFailureRecord] = {}
-    for lineno, record in iter_sealed_records(path):
-        if manifest is None:
-            manifest = Manifest.from_record(record)
-            continue
-        kind = record.get("type")
-        if kind == "result":
-            key = record["key"]
-            done[key] = (record["index"], result_from_dict(record["result"]))
-            failures.pop(key, None)
-        elif kind == "failure":
-            key = record["key"]
-            if key in done:
-                continue  # a completed result outranks any failure record
-            failures[key] = TaskFailureRecord(
-                key=key,
-                index=record["index"],
-                benchmark=record.get("benchmark"),
-                failure=TaskFailure.from_record(record["failure"]),
-            )
-        else:
-            raise CheckpointError(
-                f"{path}:{lineno}: unexpected record type {kind!r}"
-            )
-    if manifest is None:
-        raise CheckpointError(f"{path}: no complete records")
-    return manifest, done, failures
+    return load_sealed(path, CAMPAIGN_RECORDS)
 
 
 def manifest_for(

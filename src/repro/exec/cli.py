@@ -9,11 +9,13 @@ Subcommands over the JSONL checkpoint files both engines write:
   (atomically), emitting a dropped-record report so the EXPERIMENTS.md
   exclusion rules can be applied before any figure is trusted.
 * ``merge -o OUT SHARD...`` — combine shard checkpoints of the *same*
-  campaign (identical manifest identity) into one: a result anywhere
-  outranks a failure for its key, and duplicate records of one role are
-  resolved content-deterministically
-  (:func:`~repro.exec.durability.canonical_winner`), so the merged file
-  is byte-identical for any argument order.
+  campaign (identical manifest identity) into one through
+  :class:`~repro.exec.durability.CheckpointMerge`, the merge the fabric
+  coordinator uses too, so the merged file is byte-identical for any
+  argument order.
+
+Records are decoded by the family (:class:`~repro.exec.durability.RecordFamily`)
+their manifest names: the campaign's or the fuzzer's.
 
 Exit codes: 0 ok, 1 damage found (verify), 2 unusable input / bad usage.
 """
@@ -22,11 +24,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.exec.durability import (
+    CheckpointMerge,
+    RecordFamily,
     ScanReport,
-    canonical_winner,
     fold_checkpoint,
     manifest_identity,
     scan_checkpoint,
@@ -34,55 +37,25 @@ from repro.exec.durability import (
 )
 
 
-# -- structure decoding -------------------------------------------------------
+# -- record families ----------------------------------------------------------
 
 
-def _decode_record(record: Dict[str, object]) -> None:
-    """Raise when an intact-JSON, intact-CRC record is structurally wrong
-    (the only corruption class v1 files can reveal). Record types are
-    disjoint between the campaign and fuzz families, so one decoder serves
-    both file kinds."""
-    from repro.exec.resilience import TaskFailure
+def _families() -> Tuple[RecordFamily, ...]:
+    """Every checkpoint family ``repro checkpoint`` reads (imported here,
+    not at module load: the fuzz engine builds on :mod:`repro.exec`)."""
+    from repro.exec.checkpoint import CAMPAIGN_RECORDS
+    from repro.fuzz.engine import FUZZ_RECORDS
 
-    kind = record.get("type")
-    if kind == "result":
-        from repro.exec.checkpoint import result_from_dict
-
-        record["key"], record["index"]
-        result_from_dict(record["result"])
-    elif kind == "failure":
-        record["key"], record["index"]
-        TaskFailure.from_record(record["failure"])
-    elif kind == "eval":
-        from repro.fuzz.engine import _result_from_record
-
-        _result_from_record(record)
-    elif kind == "eval-failure":
-        record["index"]
-        TaskFailure.from_record(record["failure"])
+    return CAMPAIGN_RECORDS, FUZZ_RECORDS
 
 
 def _manifest_problem(manifest: Dict[str, object]) -> Optional[str]:
-    """Structural verdict on an intact manifest record (version support and,
-    for campaign manifests, full field decoding)."""
-    from repro.exec.checkpoint import CheckpointError, Manifest
-    from repro.fuzz.engine import FUZZ_SUPPORTED_VERSIONS
-
-    kind = manifest.get("type")
-    try:
-        if kind == "manifest":
-            Manifest.from_record(manifest)
-        elif kind == "fuzz-manifest":
-            if manifest.get("version") not in FUZZ_SUPPORTED_VERSIONS:
-                raise CheckpointError(
-                    f"unsupported fuzz checkpoint version "
-                    f"{manifest.get('version')!r}"
-                )
-        else:
-            return f"unknown manifest type {kind!r}"
-    except (CheckpointError, KeyError, TypeError, ValueError) as exc:
-        return str(exc) or type(exc).__name__
-    return None
+    """Structural verdict on an intact manifest record: its family, version
+    and fields."""
+    for family in _families():
+        if family.manifest_type == manifest.get("type"):
+            return family.manifest_problem(manifest)
+    return f"unknown manifest type {manifest.get('type')!r}"
 
 
 def _print_issues(report: ScanReport, verb: str = "corrupt") -> None:
@@ -105,7 +78,7 @@ def _type_summary(report: ScanReport) -> str:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     try:
         report, done, failures = fold_checkpoint(
-            args.path, _decode_record, keep_records=False
+            args.path, _families(), keep_records=False
         )
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
@@ -157,7 +130,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        report = scan_checkpoint(args.path, _decode_record)
+        report = scan_checkpoint(args.path, _families())
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
@@ -189,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_repair(args: argparse.Namespace) -> int:
     out = args.output or args.path + ".repaired"
     try:
-        report, done, failures = fold_checkpoint(args.path, _decode_record)
+        report, done, failures = fold_checkpoint(args.path, _families())
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
@@ -221,14 +194,12 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    base_manifest: Optional[Dict[str, object]] = None
+    merged = CheckpointMerge()
     base_path: Optional[str] = None
-    done: Dict[object, Dict[str, object]] = {}
-    failures: Dict[object, Dict[str, object]] = {}
     for path in args.paths:
         try:
             report, shard_done, shard_failures = fold_checkpoint(
-                path, _decode_record
+                path, _families()
             )
         except OSError as exc:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
@@ -247,10 +218,10 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             return 2
         if report.torn_tail:
             _print_issues(report)  # dropped, like a resume would
-        if base_manifest is None:
-            base_manifest, base_path = report.manifest, path
+        if merged.manifest is None:
+            base_path = path
         elif manifest_identity(report.manifest) != manifest_identity(
-            base_manifest
+            merged.manifest
         ):
             print(
                 f"{path}: manifest identity differs from {base_path}; these "
@@ -259,30 +230,12 @@ def _cmd_merge(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        # A result anywhere outranks a failure for its key; duplicate
-        # records of one role resolve content-deterministically, so the
-        # merged output is byte-identical for any argument order (shard
-        # copies of one key differ only in wall-clock metadata).
-        for key, record in shard_done.items():
-            done[key] = (
-                canonical_winner(done[key], record)
-                if key in done
-                else record
-            )
-            failures.pop(key, None)
-        for key, record in shard_failures.items():
-            if key in done:
-                continue
-            failures[key] = (
-                canonical_winner(failures[key], record)
-                if key in failures
-                else record
-            )
-    records = [r for r in done.values()] + [r for r in failures.values()]
-    write_sealed_checkpoint(args.output, base_manifest, records)
+        merged.add(report.manifest, shard_done, shard_failures)
+    merged.write(args.output)
     print(
         f"{args.output}: merged {len(args.paths)} shard(s) into "
-        f"{len(done)} result(s) + {len(failures)} quarantine record(s)"
+        f"{len(merged.done)} result(s) + {len(merged.failures)} quarantine "
+        "record(s)"
     )
     return 0
 
@@ -322,7 +275,8 @@ def checkpoint_main(argv: Optional[List[str]] = None) -> int:
     repair.set_defaults(func=_cmd_repair)
     merge = sub.add_parser(
         "merge",
-        help="combine shard checkpoints of one campaign (later record wins)",
+        help="combine shard checkpoints of one campaign (result beats "
+        "failure; argument order does not matter)",
     )
     merge.add_argument(
         "-o",

@@ -3,17 +3,31 @@
 The paper's thesis is that silent corruption must be caught *instantly*;
 this module applies the same checker mindset to our own persistence layer.
 Everything host-level that threatens a multi-hour JSONL checkpoint lives
-here, dependency-free so every layer can use it without cycles:
+here, dependency-free so every layer can use it without cycles. Each
+durability policy has exactly one implementation, shared by the campaign
+and fuzz checkpoint families:
 
 * **Record sealing** — every checkpoint record carries a ``crc`` (CRC32 of
   its canonical JSON payload) and the manifest an ``identity`` content
   hash, so bit rot and hand edits are detected at read time, with line
   numbers, instead of silently skewing figure statistics.
-* **Streaming scan** — :func:`scan_checkpoint` classifies every line of a
-  checkpoint (intact / torn tail / interior corruption) in O(1) memory;
-  :func:`iter_sealed_records` is the strict loader iterator built on the
-  same walk (tolerates exactly a torn final line, raises on anything
-  else).
+* **One writer** — :class:`SealedLogWriter` owns the whole append path:
+  the single-writer lock, torn-tail truncation on resume, manifest first,
+  then seal + flush (+ optional fsync) + lock heartbeat per record, and
+  the ``REPRO_CHAOS_TORN_APPEND`` kill hook.
+* **One fold** — :func:`fold_checkpoint` is the only reader: a streaming,
+  O(1)-per-line walk with "a result supersedes a failure, a later record
+  wins" dedup. It classifies every line (intact / torn tail / interior
+  corruption) for ``repro checkpoint``, and in strict mode it is the
+  resume loader (:func:`load_sealed`), raising on the first interior
+  issue. A :class:`RecordFamily` names each format's manifest type and
+  per-record decoders.
+* **One merge** — :class:`CheckpointMerge` combines shard checkpoints of
+  one campaign for both ``repro checkpoint merge`` and the fabric
+  coordinator: goldens unioned in benchmark order, a result beats a
+  failure, duplicates resolved by :func:`canonical_winner`.
+* **One resume check** — :func:`check_same_campaign` refuses to append to
+  a checkpoint of a different campaign, naming the first differing field.
 * **Torn-tail truncation** — :func:`truncate_torn_tail` drops a partial
   final line without reading the whole file into memory.
 * **Atomic writes** — :func:`atomic_write_text` writes via a temp file in
@@ -40,7 +54,17 @@ import tempfile
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    IO,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 #: Exit code of a CLI run stopped by a graceful SIGINT/SIGTERM drain —
 #: EX_TEMPFAIL: the run is incomplete but resumable, not failed.
@@ -102,7 +126,44 @@ def identity_hash(fields: Dict[str, object]) -> str:
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
-# -- streaming scan / strict iteration ----------------------------------------
+# -- record families ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RecordFamily:
+    """One checkpoint format: its manifest type, the format versions it
+    reads, how to load its manifest, and a decoder per data-record type.
+
+    Decoders and ``load_manifest`` raise (``KeyError``, ``TypeError``,
+    ``ValueError``) on a structurally wrong record whose JSON and CRC are
+    fine — the only corruption class v1 files can reveal.
+    """
+
+    name: str  # "campaign" | "fuzz", for messages
+    manifest_type: str
+    versions: Tuple[int, ...]
+    decoders: Mapping[str, Callable[[Dict[str, object]], object]]
+    load_manifest: Callable[[Dict[str, object]], object] = dict
+
+    def manifest_problem(self, manifest: Dict[str, object]) -> Optional[str]:
+        """Why an intact manifest record cannot open this family's
+        checkpoint, or None when it can."""
+        kind = manifest.get("type")
+        if kind != self.manifest_type:
+            return f"not a {self.name} checkpoint (got {kind!r})"
+        if manifest.get("version") not in self.versions:
+            return (
+                f"unsupported {self.name} checkpoint version "
+                f"{manifest.get('version')!r}"
+            )
+        try:
+            self.load_manifest(manifest)
+        except (KeyError, TypeError, ValueError) as exc:
+            return f"malformed manifest ({type(exc).__name__}: {exc})"
+        return None
+
+
+# -- the fold: streaming scan, dedup and strict loading -----------------------
 
 
 @dataclass(frozen=True)
@@ -153,9 +214,7 @@ def _walk_lines(path: str) -> Iterator[Tuple[int, bool, str]]:
 
 
 def _check_line(
-    line: str,
-    manifest_seen: bool,
-    decode: Optional[Callable[[Dict[str, object]], None]],
+    line: str, manifest_seen: bool
 ) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
     """Parse + verify one checkpoint line: ``(record, None)`` when intact,
     ``(None, reason)`` when damaged."""
@@ -179,11 +238,6 @@ def _check_line(
         return record, None
     if not isinstance(kind, str):
         return None, f"record has no type (got {kind!r})"
-    if decode is not None:
-        try:
-            decode(record)
-        except Exception as exc:
-            return None, f"undecodable {kind} record ({type(exc).__name__})"
     return record, None
 
 
@@ -204,7 +258,7 @@ def manifest_identity(manifest: Dict[str, object]) -> str:
     return identity_hash(fields)
 
 
-#: Record types the loaders understand, by role. ``done``-style records
+#: Record types the fold understands, by role. ``done``-style records
 #: supersede failure records for the same key (a retry that succeeded).
 RESULT_TYPES = ("result", "eval")
 FAILURE_TYPES = ("failure", "eval-failure")
@@ -214,6 +268,138 @@ def record_key(record: Dict[str, object]) -> object:
     """The dedup key of a data record: campaign records use ``key``, fuzz
     records use ``index`` (both families always carry ``index``)."""
     return record.get("key", record.get("index"))
+
+
+def _decode(
+    record: Dict[str, object], family: Optional[RecordFamily]
+) -> Tuple[object, Optional[str]]:
+    """``(decoded value, None)`` for a data record of a known type that
+    decodes under ``family`` (the record itself when there is none), else
+    ``(None, reason)``."""
+    kind = record["type"]
+    if (kind not in RESULT_TYPES and kind not in FAILURE_TYPES) or (
+        family is not None and kind not in family.decoders
+    ):
+        return None, f"unexpected record type {kind!r}"
+    if family is None:
+        return record, None
+    try:
+        return family.decoders[kind](record), None
+    except Exception as exc:
+        return None, f"undecodable {kind} record ({type(exc).__name__})"
+
+
+def fold_checkpoint(
+    path: str,
+    families: Sequence[RecordFamily] = (),
+    keep_records: bool = True,
+    strict: bool = False,
+) -> Tuple[ScanReport, Dict[object, object], Dict[object, object]]:
+    """The one checkpoint reader: scan *and* dedup into ``(report, done,
+    failures)``. A result record supersedes a failure record for the same
+    key, and a later record for a key replaces an earlier one.
+
+    The manifest picks its family out of ``families`` by manifest type;
+    every data record must then decode under it (with no matching family,
+    only the record type is checked). Damaged lines land in the report.
+
+    With ``strict=True`` (the resume loaders, see :func:`load_sealed`)
+    the manifest must belong to ``families[0]``, the first interior issue
+    raises :class:`CheckpointError` naming ``PATH:LINENO``, only a torn
+    final line is tolerated, and ``done``/``failures`` hold the decoded
+    values instead of the raw records.
+
+    With ``keep_records=False`` the dicts map each key to ``None`` instead
+    of the record, so a pure integrity scan of a multi-GB file stays O(keys)
+    rather than O(file) in memory.
+    """
+    report = ScanReport(path=path)
+    done: Dict[object, object] = {}
+    failures: Dict[object, object] = {}
+    family: Optional[RecordFamily] = None
+    for lineno, is_last, line in _walk_lines(path):
+        record, reason = _check_line(line, report.manifest is not None)
+        value: object = record
+        if reason is None and report.manifest is not None:
+            value, reason = _decode(record, family)
+        if reason is not None:
+            torn = is_last and reason == "unparsable JSON"
+            if strict and not torn:
+                raise CheckpointError(
+                    f"{path}:{lineno}: corrupt record ({reason})"
+                )
+            report.issues.append(LineIssue(lineno, reason, torn_tail=torn))
+            continue
+        if "crc" in record:
+            report.sealed += 1
+        if report.manifest is None:
+            report.manifest = record
+            if strict:
+                problem = families[0].manifest_problem(record)
+                if problem is not None:
+                    raise CheckpointError(f"{path}: {problem}")
+            family = next(
+                (f for f in families if f.manifest_type == record["type"]),
+                None,
+            )
+            continue
+        report.records += 1
+        kind = record["type"]
+        report.by_type[kind] = report.by_type.get(kind, 0) + 1
+        key = record_key(record)
+        kept = (value if strict else record) if keep_records else None
+        if kind in RESULT_TYPES:
+            done[key] = kept
+            failures.pop(key, None)
+        elif key not in done:
+            failures[key] = kept
+    return report, done, failures
+
+
+def scan_checkpoint(
+    path: str, families: Sequence[RecordFamily] = ()
+) -> ScanReport:
+    """Full integrity scan: every line classified, nothing raised (see
+    :func:`fold_checkpoint` for how ``families`` decode records)."""
+    report, _, _ = fold_checkpoint(path, families, keep_records=False)
+    return report
+
+
+def load_sealed(
+    path: str, family: RecordFamily
+) -> Tuple[object, Dict[object, object], Dict[object, object]]:
+    """Strict resume loader for one family's checkpoint: ``(manifest,
+    key -> decoded result, key -> decoded failure)``.
+
+    Tolerates a truncated final line (the signature of a killed run);
+    raises :class:`CheckpointError` — with the line number — for any other
+    malformation, including an interior CRC mismatch, and for a checkpoint
+    of another family. Streams the file line by line.
+    """
+    if os.path.getsize(path) == 0:
+        raise CheckpointError(f"{path}: empty {family.name} checkpoint file")
+    report, done, failures = fold_checkpoint(path, (family,), strict=True)
+    if report.manifest is None:
+        raise CheckpointError(f"{path}: no complete records")
+    return family.load_manifest(report.manifest), done, failures
+
+
+def check_same_campaign(
+    path: str, recorded: Mapping[str, object], expected: Mapping[str, object]
+) -> None:
+    """The resume check: raise :class:`CheckpointError` unless the
+    checkpoint's ``recorded`` manifest fields equal every ``expected``
+    field, naming the first that differs."""
+    for key, want in expected.items():
+        have = recorded.get(key)
+        if have != want:
+            raise CheckpointError(
+                f"{path}: checkpoint {key}={have!r} does not match this "
+                f"campaign's {key}={want!r}; refusing to resume"
+            )
+
+
+# -- the merge ----------------------------------------------------------------
 
 
 def canonical_winner(
@@ -228,85 +414,68 @@ def canonical_winner(
     return a if canonical_payload(a) <= canonical_payload(b) else b
 
 
-def scan_checkpoint(
-    path: str,
-    decode: Optional[Callable[[Dict[str, object]], None]] = None,
-) -> ScanReport:
-    """Full integrity scan: every line classified, nothing raised.
+class CheckpointMerge:
+    """Shard checkpoints of one campaign, merged into one.
 
-    ``decode`` (optional) is handed each intact non-manifest record and
-    should raise if the record's *structure* is wrong even though its JSON
-    and CRC are fine — the only corruption class v1 files can reveal.
+    The only merge: ``repro checkpoint merge`` and the fabric coordinator
+    both feed it folded shards (raw records from :func:`fold_checkpoint`)
+    and write it with :meth:`write`. The result is independent of the order
+    shards arrive in: golden summaries are unioned in the manifest's
+    benchmark order, a result anywhere beats a failure for its key, and
+    duplicate records of one role resolve by :func:`canonical_winner`.
+    Callers check manifest identity before :meth:`add`.
     """
-    report, _, _ = fold_checkpoint(path, decode, keep_records=False)
-    return report
 
+    def __init__(self) -> None:
+        self.manifest: Optional[Dict[str, object]] = None
+        self.done: Dict[object, Dict[str, object]] = {}
+        self.failures: Dict[object, Dict[str, object]] = {}
 
-def fold_checkpoint(
-    path: str,
-    decode: Optional[Callable[[Dict[str, object]], None]] = None,
-    keep_records: bool = True,
-) -> Tuple[
-    ScanReport, Dict[object, Dict[str, object]], Dict[object, Dict[str, object]]
-]:
-    """Scan *and* dedup: ``(report, done, failures)`` with later-record-wins
-    semantics matching the strict loaders (a result record supersedes a
-    failure record for the same key; a later record for a key replaces an
-    earlier one). Damaged lines land in the report, never raise.
+    def add(
+        self,
+        manifest: Dict[str, object],
+        done: Mapping[object, Dict[str, object]],
+        failures: Mapping[object, Dict[str, object]],
+    ) -> Tuple[int, int]:
+        """Fold one shard in; returns how many of its keys were new to the
+        merged results and to the merged failures."""
+        if self.manifest is None:
+            self.manifest = dict(manifest)
+        if "goldens" in self.manifest:
+            # Each shard's manifest summarizes only the goldens it ran;
+            # exports need the union. Goldens are outside the identity
+            # hash, so this never changes which campaign the file claims.
+            goldens = dict(self.manifest["goldens"])
+            goldens.update(manifest.get("goldens") or {})
+            self.manifest["goldens"] = {
+                name: goldens[name]
+                for name in self.manifest.get("benchmarks", ())
+                if name in goldens
+            }
+        new_done = new_failures = 0
+        for key, record in done.items():
+            if key in self.done:
+                record = canonical_winner(self.done[key], record)
+            else:
+                new_done += 1
+            self.done[key] = record
+            self.failures.pop(key, None)
+        for key, record in failures.items():
+            if key in self.done:
+                continue
+            if key in self.failures:
+                record = canonical_winner(self.failures[key], record)
+            else:
+                new_failures += 1
+            self.failures[key] = record
+        return new_done, new_failures
 
-    With ``keep_records=False`` the dicts map each key to ``None`` instead
-    of the record, so a pure integrity scan of a multi-GB file stays O(keys)
-    rather than O(file) in memory.
-    """
-    report = ScanReport(path=path)
-    done: Dict[object, Dict[str, object]] = {}
-    failures: Dict[object, Dict[str, object]] = {}
-    for lineno, is_last, line in _walk_lines(path):
-        record, reason = _check_line(line, report.manifest is not None, decode)
-        if reason is None and report.manifest is not None:
-            kind = record.get("type")
-            if kind not in RESULT_TYPES and kind not in FAILURE_TYPES:
-                record, reason = None, f"unexpected record type {kind!r}"
-        if reason is not None:
-            torn = is_last and reason == "unparsable JSON"
-            report.issues.append(LineIssue(lineno, reason, torn_tail=torn))
-            continue
-        if report.manifest is None:
-            report.manifest = record
-        else:
-            report.records += 1
-            kind = record["type"]
-            report.by_type[kind] = report.by_type.get(kind, 0) + 1
-            key = record_key(record)
-            kept = record if keep_records else None
-            if kind in RESULT_TYPES:
-                done[key] = kept
-                failures.pop(key, None)
-            elif key not in done:
-                failures[key] = kept
-        if "crc" in record:
-            report.sealed += 1
-    return report, done, failures
-
-
-def iter_sealed_records(path: str) -> Iterator[Tuple[int, Dict[str, object]]]:
-    """Strict streaming reader: yield ``(lineno, record)`` for every line.
-
-    Tolerates (and drops) exactly an unparsable *final* line — the
-    signature of a killed writer — and raises :class:`CheckpointError`
-    with the line number for any interior damage or CRC mismatch.
-    """
-    yielded = False
-    for lineno, is_last, line in _walk_lines(path):
-        record, reason = _check_line(line, manifest_seen=yielded, decode=None)
-        if reason is not None:
-            if is_last and reason == "unparsable JSON":
-                return  # torn tail from an interrupted run
-            raise CheckpointError(f"{path}:{lineno}: corrupt record ({reason})")
-        yielded = True
-        yield lineno, record
-    if not yielded:
-        raise CheckpointError(f"{path}: no complete records")
+    def write(self, path: str) -> None:
+        """Atomically write the merged checkpoint (nothing added yet:
+        nothing written)."""
+        if self.manifest is not None:
+            records = list(self.done.values()) + list(self.failures.values())
+            write_sealed_checkpoint(path, self.manifest, records)
 
 
 # -- torn-tail truncation -----------------------------------------------------
@@ -369,8 +538,8 @@ def write_sealed_checkpoint(
 ) -> None:
     """Write a fresh checkpoint atomically: manifest first, data records in
     canonical task order, everything (re-)sealed with a CRC and the
-    manifest's identity hash recomputed. Shared by ``repro checkpoint
-    repair``/``merge`` and the fabric coordinator's continuous merge."""
+    manifest's identity hash recomputed. Used by ``repro checkpoint
+    repair`` and :meth:`CheckpointMerge.write`."""
     manifest = dict(manifest)
     manifest["identity"] = manifest_identity(manifest)
     lines = [json.dumps(seal_record(manifest), sort_keys=True)]
@@ -516,6 +685,79 @@ class CheckpointLock:
 
     def __exit__(self, *exc_info: object) -> None:
         self.release()
+
+
+# -- the one appender ---------------------------------------------------------
+
+
+class SealedLogWriter:
+    """Appends CRC-sealed records to a JSONL checkpoint: the one append
+    path for every checkpoint family.
+
+    The sidecar :class:`CheckpointLock` is held for the writer's lifetime,
+    so a concurrent second writer raises :class:`CheckpointLockedError`
+    instead of interleaving appends. In fresh mode the ``manifest`` record
+    is written first; in resume mode a torn final line is truncated and
+    the file is opened for append (its manifest must already be present).
+    Every record is flushed, so a *process* kill loses at most the line
+    being written; with ``fsync=True`` every record is also ``os.fsync``'d,
+    so the file additionally survives hard machine kills (power loss,
+    kernel panic) at a per-record I/O cost. The lock's heartbeat refreshes
+    on every append.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        manifest: Dict[str, object],
+        resume: bool = False,
+        fsync: bool = False,
+    ) -> None:
+        self.path = path
+        self.fsync = fsync
+        self._handle: Optional[IO[str]] = None
+        self._lock: Optional[CheckpointLock] = CheckpointLock(path).acquire()
+        try:
+            if resume:
+                truncate_torn_tail(path)
+                self._handle = open(path, "a")
+            else:
+                self._handle = open(path, "w")
+                self.append(manifest)
+        except BaseException:
+            self.close()
+            raise
+
+    def append(self, record: Dict[str, object]) -> None:
+        assert self._handle is not None
+        line = json.dumps(seal_record(record), sort_keys=True) + "\n"
+        torn_key = os.environ.get(ENV_TORN_APPEND)
+        if torn_key and record.get("key") == torn_key:
+            # Chaos hook: a deterministic SIGKILL-mid-append — half the
+            # line reaches the file, no newline, and the process dies with
+            # the lock still on disk. Production runs never set this.
+            self._handle.write(line[: len(line) // 2])
+            self._handle.flush()
+            os._exit(TORN_APPEND_EXIT_STATUS)
+        self._handle.write(line)
+        self._handle.flush()
+        if self.fsync:
+            os.fsync(self._handle.fileno())
+        self._lock.heartbeat()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+        if self._lock is not None:
+            self._lock.release()
+            self._lock = None
+
+    def __enter__(self) -> "SealedLogWriter":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 # -- graceful shutdown --------------------------------------------------------

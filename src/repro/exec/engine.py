@@ -31,12 +31,11 @@ from repro.exec.backends import (
     TaskRunner,
 )
 from repro.exec.checkpoint import (
-    CheckpointError,
     CheckpointWriter,
     load_checkpoint_full,
     manifest_for,
 )
-from repro.exec.durability import GracefulShutdown
+from repro.exec.durability import GracefulShutdown, check_same_campaign
 from repro.exec.progress import ProgressEvent, ProgressObserver
 from repro.exec.resilience import TaskFailure, TaskFailureRecord
 from repro.exec.tasks import (
@@ -45,35 +44,6 @@ from repro.exec.tasks import (
     group_into_batches,
 )
 from repro.isa.program import Program
-
-
-def _verify_manifest(
-    manifest, seed, runs_per_model, models, benchmarks, path, config=None
-):
-    expected = {
-        "seed": seed,
-        "runs_per_model": runs_per_model,
-        "models": [m.value for m in models],
-        "benchmarks": list(benchmarks),
-        "design_point": None if config is None else config.to_dict(),
-    }
-    actual = {
-        "seed": manifest.seed,
-        "runs_per_model": manifest.runs_per_model,
-        "models": manifest.models,
-        "benchmarks": manifest.benchmarks,
-        "design_point": manifest.design_point,
-    }
-    for key in expected:
-        if key == "design_point" and actual[key] is None:
-            # Files written before design points existed (or by a
-            # default-config campaign) carry no record; nothing to check.
-            continue
-        if expected[key] != actual[key]:
-            raise CheckpointError(
-                f"{path}: checkpoint {key}={actual[key]!r} does not match "
-                f"this campaign's {key}={expected[key]!r}; refusing to resume"
-            )
 
 
 def run_engine(
@@ -122,7 +92,7 @@ def run_engine(
             Purely a throughput knob — results (and checkpoints) are
             bit-identical for any value, which is why it is deliberately
             NOT part of the checkpoint manifest identity.
-        checkpoint_fsync: ``os.fsync`` every checkpoint record (survives
+        checkpoint_fsync: fsync every checkpoint record to disk (survives
             hard machine kills, not just process kills) at an I/O cost.
         task_runner: Override the per-task execution function (see
             :data:`~repro.exec.backends.TaskRunner`); used by the chaos
@@ -200,10 +170,19 @@ def run_engine(
     skipped = 0
     if resume:
         manifest, done, quarantined = load_checkpoint_full(checkpoint_path)
-        _verify_manifest(
-            manifest, seed, runs_per_model, models, list(programs),
-            checkpoint_path, config=config,
-        )
+        expected = {
+            "seed": seed,
+            "runs_per_model": runs_per_model,
+            "models": [m.value for m in models],
+            "benchmarks": list(programs),
+        }
+        if manifest.design_point is not None:
+            # Files written before design points existed (or by a
+            # default-config campaign) carry none; nothing to check then.
+            expected["design_point"] = (
+                None if config is None else config.to_dict()
+            )
+        check_same_campaign(checkpoint_path, vars(manifest), expected)
         by_key = {task.key: task for task in tasks}
         for key, (index, result) in done.items():
             if key in by_key:

@@ -13,11 +13,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exec.durability import (
     CheckpointError,
+    CheckpointMerge,
     atomic_write_text,
-    canonical_winner,
     fold_checkpoint,
     manifest_identity,
-    write_sealed_checkpoint,
 )
 from repro.exec.fabric.spec import CampaignSpec
 from repro.exec.progress import ProgressEvent, ProgressObserver
@@ -132,9 +131,7 @@ class FabricCoordinator:
         self.shards: List[Shard] = []
         self._key_index: Dict[str, int] = {}
         self._key_benchmark: Dict[str, str] = {}
-        self._manifest: Optional[Dict[str, object]] = None
-        self._done: Dict[str, Dict[str, object]] = {}
-        self._failures: Dict[str, Dict[str, object]] = {}
+        self._merged = CheckpointMerge()
         self._workers_seen: Dict[str, float] = {}
         self._started = clock()
         self._executed_since_start = 0
@@ -167,9 +164,7 @@ class FabricCoordinator:
                     "repair it with `repro checkpoint repair` before "
                     "restarting the coordinator"
                 )
-            self._manifest = report.manifest
-            self._done = dict(done)
-            self._failures = dict(failures)
+            self._merged.add(report.manifest, done, failures)
             self._refresh_shard_completion()
 
     def _install_spec(self, spec: CampaignSpec) -> None:
@@ -398,74 +393,26 @@ class FabricCoordinator:
                     os.unlink(staging)
                 except OSError:
                     pass
-            merged_new = self._merge_records(report.manifest, done, failures)
+            # A matching identity does not vouch for every key in the
+            # file: keys outside this campaign's task list are dropped.
+            new_done, new_failures = self._merged.add(
+                report.manifest,
+                {k: r for k, r in done.items() if k in self._key_index},
+                {k: r for k, r in failures.items() if k in self._key_index},
+            )
+            self._executed_since_start += new_done
             self._refresh_shard_completion()
-            self._write_artifact()
+            self._merged.write(self.artifact_path)
             self._emit_progress(shard_index)
             return {
                 "ok": True,
-                "new_records": merged_new,
-                "done_tasks": len(self._done),
+                "new_records": new_done + new_failures,
+                "done_tasks": len(self._merged.done),
                 "campaign_done": self.campaign_done(),
             }
 
-    def _merge_records(
-        self,
-        manifest: Dict[str, object],
-        done: Dict[object, Dict[str, object]],
-        failures: Dict[object, Dict[str, object]],
-    ) -> int:
-        """Fold one shard's records into the canonical store.
-
-        Deterministic regardless of upload arrival order: a result always
-        outranks any failure record for its key, and duplicate records of
-        one role resolve content-deterministically
-        (:func:`~repro.exec.durability.canonical_winner`) — safe because
-        result records for a key are classification-identical by
-        construction (only wall-clock metadata can differ, and exports
-        never carry it), and it makes the merged artifact byte-identical
-        whatever order the fleet's uploads landed in.
-        """
-        if self._manifest is None:
-            self._manifest = dict(manifest)
-        # Each shard's manifest summarizes only the goldens it ran; the
-        # canonical artifact needs the union (exports reproduce golden
-        # summaries per benchmark). Goldens are outside manifest identity,
-        # so this never changes which campaign the artifact claims to be.
-        goldens = dict(self._manifest.get("goldens") or {})
-        goldens.update(manifest.get("goldens") or {})
-        # Canonical benchmark order, matching a single-host campaign's
-        # manifest (and hence its JSON export) byte for byte.
-        self._manifest["goldens"] = {
-            name: goldens[name]
-            for name in self.spec.benchmarks
-            if name in goldens
-        }
-        new = 0
-        for key, record in done.items():
-            if key not in self._key_index:
-                continue  # foreign key: identity matched, so never happens
-            if key not in self._done:
-                self._done[key] = record
-                new += 1
-                self._executed_since_start += 1
-            else:
-                self._done[key] = canonical_winner(self._done[key], record)
-            self._failures.pop(key, None)
-        for key, record in failures.items():
-            if key not in self._key_index or key in self._done:
-                continue
-            if key not in self._failures:
-                self._failures[key] = record
-                new += 1
-            else:
-                self._failures[key] = canonical_winner(
-                    self._failures[key], record
-                )
-        return new
-
     def _handled_keys(self) -> Set[str]:
-        return set(self._done) | set(self._failures)
+        return set(self._merged.done) | set(self._merged.failures)
 
     def _refresh_shard_completion(self) -> None:
         handled = self._handled_keys()
@@ -476,12 +423,6 @@ class FabricCoordinator:
                 shard.state = DONE
                 shard.clear_lease()
 
-    def _write_artifact(self) -> None:
-        if self._manifest is None:
-            return
-        records = list(self._done.values()) + list(self._failures.values())
-        write_sealed_checkpoint(self.artifact_path, self._manifest, records)
-
     def _emit_progress(self, shard_index: int) -> None:
         if not self.observers or self.spec is None:
             return
@@ -491,12 +432,12 @@ class FabricCoordinator:
         }
         for key, bench in self._key_benchmark.items():
             per_benchmark[bench][1] += 1
-            if key in self._done or key in self._failures:
+            if key in self._merged.done or key in self._merged.failures:
                 per_benchmark[bench][0] += 1
         elapsed = max(self.clock() - self._started, 1e-9)
         executed = self._executed_since_start
         throughput = executed / elapsed if executed else 0.0
-        done = len(self._done) + len(self._failures)
+        done = len(self._merged.done) + len(self._merged.failures)
         event = ProgressEvent(
             done=done,
             total=total,
@@ -508,7 +449,7 @@ class FabricCoordinator:
             per_benchmark={
                 name: (d, t) for name, (d, t) in per_benchmark.items()
             },
-            failed=len(self._failures),
+            failed=len(self._merged.failures),
         )
         for observer in self.observers:
             observer(event)
@@ -565,8 +506,8 @@ class FabricCoordinator:
                 "campaign": self.spec.to_dict(),
                 "identity": self.spec.expected_manifest_identity(),
                 "total_tasks": len(self._key_index),
-                "done_tasks": len(self._done),
-                "quarantined_tasks": len(self._failures),
+                "done_tasks": len(self._merged.done),
+                "quarantined_tasks": len(self._merged.failures),
                 "shards": {
                     "total": len(self.shards),
                     **{s: by_state.get(s, 0)

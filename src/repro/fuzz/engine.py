@@ -11,8 +11,9 @@ Execution model — generations with a deterministic barrier:
   wall-clock only: results are collected per batch and folded into the
   coverage map / corpus **in canonical index order**, making the whole
   campaign bit-identical for any worker count.
-* Completed evaluations append to a JSONL checkpoint (same torn-tail
-  tolerant format family as campaign checkpoints); ``--resume`` replays
+* Completed evaluations append to a JSONL checkpoint through the same
+  sealed-log writer and strict loader as campaign checkpoints
+  (:data:`FUZZ_RECORDS` is the fuzz record family); ``--resume`` replays
   recorded results through the driver instead of re-simulating them,
   which reconstructs the exact corpus/coverage state deterministically.
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -34,17 +34,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bugs.models import BugSpec
 from repro.core.config import CoreConfig
 from repro.exec.backends import Backend, ExecutionContext, SerialBackend
-from repro.exec.checkpoint import (
-    CheckpointError,
-    _truncate_torn_tail,
-    spec_to_dict,
-)
+from repro.exec.checkpoint import spec_to_dict
 from repro.exec.durability import (
-    CheckpointLock,
     GracefulShutdown,
-    iter_sealed_records,
+    RecordFamily,
+    SealedLogWriter,
+    check_same_campaign,
+    load_sealed,
     manifest_identity,
-    seal_record,
 )
 from repro.exec.progress import ProgressEvent, ProgressObserver
 from repro.exec.resilience import TaskFailure
@@ -273,66 +270,29 @@ def _result_from_record(record: Dict[str, object]) -> FuzzResult:
     )
 
 
-class _FuzzCheckpoint:
-    """Append-only JSONL log of completed evaluations.
+def _failure_to_record(index: int, failure: TaskFailure) -> Dict[str, object]:
+    return {
+        "type": "eval-failure",
+        "index": index,
+        "failure": failure.to_record(),
+    }
 
-    Every record is flushed (a process kill loses at most the line being
-    written); ``fsync=True`` additionally survives hard machine kills at a
-    per-record I/O cost — same policy as the campaign CheckpointWriter.
-    Records are CRC-sealed and a sidecar single-writer lock (PID +
-    heartbeat) is held for the writer's lifetime, exactly as for campaign
-    checkpoints.
-    """
 
-    def __init__(
-        self,
-        path: str,
-        manifest: Dict[str, object],
-        resume: bool,
-        fsync: bool = False,
-        lock: bool = True,
-    ):
-        self.path = path
-        self.fsync = fsync
-        self._lock = CheckpointLock(path).acquire() if lock else None
-        try:
-            if resume:
-                _truncate_torn_tail(path)
-                self._handle = open(path, "a")
-            else:
-                self._handle = open(path, "w")
-                self._append(manifest)
-        except BaseException:
-            if self._lock is not None:
-                self._lock.release()
-            raise
+def _failure_from_record(record: Dict[str, object]) -> TaskFailure:
+    if "index" not in record:  # the fold keys fuzz records by index
+        raise KeyError("index")
+    return TaskFailure.from_record(record["failure"])
 
-    def write(self, result: FuzzResult) -> None:
-        self._append(_result_to_record(result))
 
-    def write_failure(self, index: int, failure: TaskFailure) -> None:
-        """Record one quarantined evaluation so a resume skips it."""
-        self._append(
-            {
-                "type": "eval-failure",
-                "index": index,
-                "failure": failure.to_record(),
-            }
-        )
-
-    def _append(self, record: Dict[str, object]) -> None:
-        self._handle.write(json.dumps(seal_record(record), sort_keys=True) + "\n")
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
-        if self._lock is not None:
-            self._lock.heartbeat()
-
-    def close(self) -> None:
-        self._handle.close()
-        if self._lock is not None:
-            self._lock.release()
-            self._lock = None
+#: The fuzz checkpoint family: ``fuzz-manifest`` first, then ``eval``
+#: records decoding to :class:`FuzzResult` and ``eval-failure`` records
+#: decoding to :class:`~repro.exec.resilience.TaskFailure`, keyed by index.
+FUZZ_RECORDS = RecordFamily(
+    name="fuzz",
+    manifest_type="fuzz-manifest",
+    versions=FUZZ_SUPPORTED_VERSIONS,
+    decoders={"eval": _result_from_record, "eval-failure": _failure_from_record},
+)
 
 
 def _fuzz_manifest(
@@ -377,62 +337,12 @@ def load_fuzz_checkpoint_full(
 ) -> Tuple[
     Dict[str, object], Dict[int, FuzzResult], Dict[int, TaskFailure]
 ]:
-    """Load manifest, recorded results and quarantined evaluations.
-
-    A later ``eval`` record for an index supersedes its ``eval-failure``
-    record (a retry eventually succeeded). Streams the file line by line,
-    verifying CRCs where present (v2) and reporting interior corruption
-    with line numbers; a torn final line is tolerated."""
-    if os.path.getsize(path) == 0:
-        raise CheckpointError(f"{path}: empty fuzz checkpoint file")
-    manifest: Optional[Dict[str, object]] = None
-    done: Dict[int, FuzzResult] = {}
-    failures: Dict[int, TaskFailure] = {}
-    for lineno, record in iter_sealed_records(path):
-        if manifest is None:
-            if record.get("type") != "fuzz-manifest":
-                raise CheckpointError(
-                    f"{path}: not a fuzz checkpoint "
-                    f"(got {record.get('type')!r})"
-                )
-            if record.get("version") not in FUZZ_SUPPORTED_VERSIONS:
-                raise CheckpointError(
-                    f"{path}: unsupported fuzz checkpoint version "
-                    f"{record.get('version')!r}"
-                )
-            manifest = record
-            continue
-        kind = record.get("type")
-        if kind == "eval":
-            result = _result_from_record(record)
-            done[result.index] = result
-            failures.pop(result.index, None)
-        elif kind == "eval-failure":
-            index = record["index"]
-            if index in done:
-                continue  # a completed eval outranks any failure record
-            failures[index] = TaskFailure.from_record(record["failure"])
-        else:
-            raise CheckpointError(
-                f"{path}:{lineno}: unexpected record type {kind!r}"
-            )
-    if manifest is None:
-        raise CheckpointError(f"{path}: no complete records")
-    return manifest, done, failures
-
-
-def _verify_fuzz_manifest(
-    manifest: Dict[str, object],
-    expected: Dict[str, object],
-    path: str,
-) -> None:
-    for key in ("seed", "batch", "limits", "config_digest", "bug"):
-        if manifest.get(key) != expected[key]:
-            raise CheckpointError(
-                f"{path}: checkpoint {key}={manifest.get(key)!r} does not "
-                f"match this campaign's {key}={expected[key]!r}; refusing "
-                "to resume"
-            )
+    """Load manifest, recorded results and quarantined evaluations through
+    the strict :func:`~repro.exec.durability.load_sealed`: a later ``eval``
+    record for an index supersedes its ``eval-failure`` record (a retry
+    eventually succeeded), a torn final line is dropped and any interior
+    corruption raises with its line number."""
+    return load_sealed(path, FUZZ_RECORDS)
 
 
 # -- the campaign ------------------------------------------------------------
@@ -627,7 +537,7 @@ def run_fuzz(
         save_corpus_dir: If set, dump the final corpus as artifacts.
         bug: Optional armed BugSpec applied to every evaluation — exercises
             the oracle/shrinker/artifact loop against a known-bad core.
-        checkpoint_fsync: ``os.fsync`` every checkpoint record.
+        checkpoint_fsync: fsync every checkpoint record to disk.
         shutdown: A :class:`~repro.exec.durability.GracefulShutdown`
             latch; once requested the backend stops dispatching and the
             driver stops after the current generation. A generation whose
@@ -676,12 +586,19 @@ def run_fuzz(
         manifest, restored, restored_failures = load_fuzz_checkpoint_full(
             checkpoint_path
         )
-        _verify_fuzz_manifest(manifest, expected_manifest, checkpoint_path)
+        check_same_campaign(
+            checkpoint_path,
+            manifest,
+            {
+                key: expected_manifest[key]
+                for key in ("seed", "batch", "limits", "config_digest", "bug")
+            },
+        )
         quarantined.update(restored_failures)
 
-    writer: Optional[_FuzzCheckpoint] = None
+    writer: Optional[SealedLogWriter] = None
     if checkpoint_path is not None:
-        writer = _FuzzCheckpoint(
+        writer = SealedLogWriter(
             checkpoint_path,
             expected_manifest,
             resume=resume,
@@ -733,11 +650,11 @@ def run_fuzz(
                 if isinstance(outcome, TaskFailure):
                     quarantined[task.index] = outcome
                     if writer is not None:
-                        writer.write_failure(task.index, outcome)
+                        writer.append(_failure_to_record(task.index, outcome))
                 else:
                     results[task.index] = outcome
                     if writer is not None:
-                        writer.write(outcome)
+                        writer.append(_result_to_record(outcome))
                 executed += 1
                 emit()
             interrupted = shutdown is not None and shutdown.requested

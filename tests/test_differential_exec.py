@@ -37,6 +37,7 @@ from repro.core.config import (
     CoreConfig,
 )
 from repro.exec.backends import (
+    FAIL_FAST,
     ExecutionContext,
     ProcessPoolBackend,
     SerialBackend,
@@ -229,7 +230,7 @@ def _built_context(programs):
 
 
 @pytest.mark.parametrize(
-    "policy", [None, FaultPolicy()], ids=["fail-fast", "resilient"]
+    "policy", [FAIL_FAST, FaultPolicy()], ids=["fail-fast", "resilient"]
 )
 def test_pool_workers_receive_parent_providers(programs, policy):
     """Every task, each worker's first included, sees every provider the

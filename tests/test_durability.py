@@ -35,6 +35,7 @@ from repro.exec.durability import (
     CheckpointLockedError,
     GracefulShutdown,
     SHUTDOWN_EXIT_CODE,
+    SealedLogWriter,
     atomic_write_text,
     crc_of,
     lock_path_for,
@@ -44,6 +45,7 @@ from repro.exec.durability import (
 )
 from repro.exec.engine import run_engine
 from repro.exec.tasks import generate_tasks
+from repro.fuzz.engine import load_fuzz_checkpoint_full, run_fuzz
 from repro.workloads import WORKLOADS
 
 RUNS = 2  # 2 runs x 3 models x 1 benchmark = 6 tasks
@@ -73,6 +75,18 @@ def checkpointed(tiny_suite, tmp_path_factory):
         checkpoint_path=str(path),
     )
     return str(path), campaign
+
+
+#: A fuzz campaign small enough for a fixture (one generation).
+FUZZ_RUN = dict(seed=1, budget=4, batch=4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpointed(tmp_path_factory):
+    """A finished fuzz checkpoint (read-only: tests copy it)."""
+    path = str(tmp_path_factory.mktemp("durability") / "fuzz.jsonl")
+    run_fuzz(**FUZZ_RUN, checkpoint_path=path)
+    return path
 
 
 def _comparable(result):
@@ -336,15 +350,71 @@ def test_merge_refuses_mismatched_manifests(checkpointed, tmp_path, capsys):
 # -- single-writer locking -----------------------------------------------------
 
 
-def test_second_writer_is_refused(checkpointed, tiny_suite, tmp_path):
-    path, _ = checkpointed
-    mine = _copy(path, tmp_path / "locked.jsonl")
-    manifest, _, _ = load_checkpoint_full(mine)
-    with CheckpointWriter(mine, manifest, resume=True):
+@pytest.mark.parametrize("family", ["campaign", "fuzz"])
+def test_second_writer_is_refused(
+    family, checkpointed, fuzz_checkpointed, tiny_suite, tmp_path
+):
+    """Each engine's checkpoint writer takes the single-writer lock: while
+    one writer holds the file, resuming the engine on it is refused."""
+    if family == "campaign":
+        mine = _copy(checkpointed[0], tmp_path / "locked.jsonl")
+        manifest = load_checkpoint_full(mine)[0]
+
+        def hold():
+            return CheckpointWriter(mine, manifest, resume=True)
+
+        def resume():
+            run_engine(
+                tiny_suite, RUNS, seed=SEED, checkpoint_path=mine, resume=True
+            )
+    else:
+        mine = _copy(fuzz_checkpointed, tmp_path / "locked.jsonl")
+        manifest = load_fuzz_checkpoint_full(mine)[0]
+
+        def hold():
+            return SealedLogWriter(mine, manifest, resume=True)
+
+        def resume():
+            run_fuzz(**FUZZ_RUN, checkpoint_path=mine, resume=True)
+
+    with hold():
         with pytest.raises(CheckpointLockedError, match="another run"):
-            CheckpointWriter(mine, manifest, resume=True)
-    # Released on close: a new writer may take the file.
-    CheckpointWriter(mine, manifest, resume=True).close()
+            resume()
+    resume()  # released on close: the engine may take the file
+    assert not os.path.exists(lock_path_for(mine))
+
+
+def test_loaders_name_the_family_of_a_foreign_checkpoint(
+    checkpointed, fuzz_checkpointed
+):
+    campaign_path, _ = checkpointed
+    with pytest.raises(CheckpointError) as raised:
+        load_checkpoint_full(fuzz_checkpointed)
+    assert str(raised.value) == (
+        f"{fuzz_checkpointed}: not a campaign checkpoint (got 'fuzz-manifest')"
+    )
+    with pytest.raises(CheckpointError) as raised:
+        load_fuzz_checkpoint_full(campaign_path)
+    assert str(raised.value) == (
+        f"{campaign_path}: not a fuzz checkpoint (got 'manifest')"
+    )
+
+
+def test_campaign_resume_of_a_fuzz_checkpoint_names_the_family(
+    fuzz_checkpointed, tmp_path, capsys
+):
+    from repro.cli import main
+
+    mine = _copy(fuzz_checkpointed, tmp_path / "fuzz.jsonl")
+    code = main(
+        ["--resume", mine, "--runs", "1", "--benchmarks", "bitcount",
+         "--scale", "0.25", "--figures", "3"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.strip().endswith(
+        f"checkpoint error: {mine}: not a campaign checkpoint "
+        "(got 'fuzz-manifest')"
+    )
 
 
 def test_stale_lock_of_a_dead_process_is_taken_over(tmp_path):

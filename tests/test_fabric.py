@@ -476,24 +476,18 @@ def test_cli_merge_overlap_is_argument_order_independent(
     assert len(done) == len(set(first) | set(second)) and not failures
 
 
-def test_cli_merge_result_beats_failure_in_both_orders(
-    tmp_path, shard_uploads
-):
-    first, second = overlapping_shards(shard_uploads)
-    overlap = sorted(set(first) & set(second))
-    victim = overlap[0]
-    # Shard A records a quarantine for the overlap key; shard B completed
-    # it. Whichever order the shards are merged, the result must win.
-    lines = shard_uploads(first).decode().splitlines()
-    doctored = []
-    for line in lines:
+def quarantine_key(data: bytes, victim: str) -> bytes:
+    """A shard's bytes with ``victim``'s result replaced by a (sealed)
+    quarantine record, as a flaky host would have written it."""
+    lines = []
+    for line in data.decode().splitlines():
         record = json.loads(line)
         if record.get("key") == victim:
             record = {
                 "type": "failure",
                 "index": record["index"],
                 "key": victim,
-                "benchmark": "bitcount",
+                "benchmark": record["result"]["benchmark"],
                 "failure": {
                     "kind": "exception",
                     "attempts": 3,
@@ -502,11 +496,22 @@ def test_cli_merge_result_beats_failure_in_both_orders(
                 },
             }
             line = json.dumps(seal_record(record), sort_keys=True)
-        doctored.append(line)
+        lines.append(line)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_cli_merge_result_beats_failure_in_both_orders(
+    tmp_path, shard_uploads
+):
+    first, second = overlapping_shards(shard_uploads)
+    overlap = sorted(set(first) & set(second))
+    victim = overlap[0]
+    # Shard A records a quarantine for the overlap key; shard B completed
+    # it. Whichever order the shards are merged, the result must win.
     shard_a = str(tmp_path / "failed.jsonl")
     shard_b = str(tmp_path / "completed.jsonl")
-    with open(shard_a, "w") as handle:
-        handle.write("\n".join(doctored) + "\n")
+    with open(shard_a, "wb") as handle:
+        handle.write(quarantine_key(shard_uploads(first), victim))
     with open(shard_b, "wb") as handle:
         handle.write(shard_uploads(second))
     for name, order in (
@@ -519,6 +524,115 @@ def test_cli_merge_result_beats_failure_in_both_orders(
         assert victim in done and victim not in failures, (
             f"argument order {order} let a failure shadow a result"
         )
+
+
+# Two benchmarks, one shard each: every shard manifest summarizes only the
+# golden runs it made, so a merge must union them to match the single host.
+TWO_SPEC = CampaignSpec(
+    benchmarks=("bitcount", "qsort"),
+    runs_per_model=1,
+    seed=3,
+    scale=SCALE,
+    shard_size=3,
+)
+
+
+@pytest.fixture(scope="module")
+def two_benchmarks(tmp_path_factory):
+    """The single-host 2-benchmark campaign plus a cached shard producer
+    (key tuple -> sealed shard-checkpoint bytes)."""
+    programs = TWO_SPEC.programs()
+    root = tmp_path_factory.mktemp("two-benchmarks")
+    campaign = run_engine(
+        programs, 1, seed=TWO_SPEC.seed, checkpoint_path=str(root / "one.jsonl")
+    )
+    cache = {}
+
+    def produce(keys):
+        keys = tuple(keys)
+        if keys not in cache:
+            path = str(root / f"shard-{len(cache)}.jsonl")
+            run_engine(
+                programs, 1, seed=TWO_SPEC.seed, checkpoint_path=path,
+                shard_keys=list(keys),
+            )
+            with open(path, "rb") as handle:
+                cache[keys] = handle.read()
+        return cache[keys]
+
+    return campaign, produce
+
+
+def _keys_of(benchmark):
+    return tuple(t.key for t in TWO_SPEC.tasks() if t.benchmark == benchmark)
+
+
+def test_cli_merge_unions_goldens_of_disjoint_benchmark_shards(
+    tmp_path, two_benchmarks
+):
+    """One shard per benchmark: either argument order gives the same bytes,
+    and the merged checkpoint exports exactly what the single host did."""
+    from repro.analysis.export import campaign_from_checkpoint, to_json
+
+    campaign, produce = two_benchmarks
+    shards = []
+    for name in TWO_SPEC.benchmarks:
+        shards.append(str(tmp_path / f"{name}.jsonl"))
+        with open(shards[-1], "wb") as handle:
+            handle.write(produce(_keys_of(name)))
+    outputs = []
+    for name, order in (("ab", shards), ("ba", shards[::-1])):
+        out = str(tmp_path / f"{name}.jsonl")
+        assert checkpoint_main(["merge", "-o", out] + order) == 0
+        with open(out, "rb") as handle:
+            outputs.append(handle.read())
+    assert outputs[0] == outputs[1]
+    merged = campaign_from_checkpoint(str(tmp_path / "ab.jsonl"))
+    assert to_json(merged) == to_json(campaign)
+
+
+def test_cli_merge_and_coordinator_write_the_same_artifact(
+    tmp_path, two_benchmarks
+):
+    """The same overlapping shards — one holding a quarantine record for a
+    key the other completed — give byte-identical artifacts through
+    ``repro checkpoint merge`` and through coordinator uploads, in either
+    order."""
+    _, produce = two_benchmarks
+    qsort = _keys_of("qsort")
+    victim = qsort[0]
+    failed = quarantine_key(produce(_keys_of("bitcount") + (victim,)), victim)
+    completed = produce(qsort)
+    artifacts = {}
+    for name, order in (("fc", (failed, completed)), ("cf", (completed, failed))):
+        paths = []
+        for i, data in enumerate(order):
+            paths.append(str(tmp_path / f"{name}-{i}.jsonl"))
+            with open(paths[-1], "wb") as handle:
+                handle.write(data)
+        out = str(tmp_path / f"{name}-cli.jsonl")
+        assert checkpoint_main(["merge", "-o", out] + paths) == 0
+        with open(out, "rb") as handle:
+            artifacts[f"{name}-cli"] = handle.read()
+
+        coordinator = FabricCoordinator(
+            str(tmp_path / f"{name}-fabric"), clock=FakeClock()
+        )
+        coordinator.submit(TWO_SPEC.to_dict())
+        for data in order:
+            reply = coordinator.upload(
+                "w", 0, None, data, zlib.crc32(data) & 0xFFFFFFFF
+            )
+            assert reply["ok"], reply
+        assert coordinator.campaign_done()
+        with open(coordinator.artifact_path, "rb") as handle:
+            artifacts[f"{name}-fabric"] = handle.read()
+    reference = artifacts["fc-cli"]
+    assert {name: data == reference for name, data in artifacts.items()} == {
+        name: True for name in artifacts
+    }
+    _, done, failures = fold_checkpoint(str(tmp_path / "fc-cli.jsonl"))
+    assert victim in done and not failures
 
 
 # -- coordinator persistence ---------------------------------------------------

@@ -137,6 +137,29 @@ def test_poison_task_quarantined_campaign_completes(
     )
 
 
+@pytest.mark.parametrize(
+    "make_backend",
+    [SerialBackend, lambda: ProcessPoolBackend(2)],
+    ids=["serial", "pool"],
+)
+def test_default_policy_fails_fast_chained_to_the_task_error(
+    make_backend, tiny_suite, tiny_tasks, monkeypatch
+):
+    """Without an explicit policy both backends stop at the first failure
+    through their one policy path, and the raise keeps the task's own
+    exception as its cause."""
+    _set_env(monkeypatch, raise_keys=[tiny_tasks[2].key])
+    with pytest.raises(FaultToleranceError) as raised:
+        run_engine(
+            tiny_suite,
+            RUNS,
+            seed=SEED,
+            backend=make_backend(),
+            task_runner=chaos_runner,
+        )
+    assert isinstance(raised.value.__cause__, ChaosError)
+
+
 def test_strict_mode_raises_instead_of_quarantining(
     tiny_suite, tiny_tasks, monkeypatch
 ):
